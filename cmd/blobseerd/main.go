@@ -37,44 +37,36 @@
 // backend by URL — "file:///var/blocks?sync=1" for a file-backed store,
 // "http://peer:9000/base" for a remote object server, or
 // "tiered://?hot=mem://&cold=file:///var/blocks" for the hot/cold
-// tiered engine (see the store package for the policy knobs). The old
-// -dir/-sync flags remain as deprecated aliases for the file:// form.
+// tiered engine (see the store package for the policy knobs).
 // The control-plane daemons (vmanager, namespace) are volatile by
 // default; pass -data-dir to journal every mutation to a write-ahead
 // log and recover the state on restart (-wal-sync trades durability for
-// throughput by batching fsyncs). SIGTERM flushes and closes the log
-// before exit.
+// throughput by batching fsyncs). SIGTERM stops the daemon gracefully:
+// connections are cut and in-flight requests drained before the log is
+// flushed and closed.
+//
+// This command only parses flags and waits for a signal: the daemon
+// itself is assembled by internal/node, the same code the in-process
+// cluster of the tests and benchmarks runs.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"net/url"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
-	"blobseer/internal/dht"
-	"blobseer/internal/hdfs"
-	"blobseer/internal/mdtree"
 	"blobseer/internal/metrics"
-	"blobseer/internal/namespace"
+	"blobseer/internal/node"
 	"blobseer/internal/placement"
-	"blobseer/internal/pmanager"
-	"blobseer/internal/provider"
-	"blobseer/internal/repair"
 	"blobseer/internal/rpc"
-	"blobseer/internal/store"
 	"blobseer/internal/trace"
 	"blobseer/internal/util"
 	"blobseer/internal/vmanager"
-	"blobseer/internal/wal"
 )
 
 func main() {
@@ -91,8 +83,6 @@ func main() {
 		nnAddr   = flag.String("namenode", "", "namenode address (datanode role; registers at startup)")
 		host     = flag.String("host", "", "physical host label exposed for affinity scheduling (provider/datanode)")
 		storeURL = flag.String("store", "", "block-store backend URL: mem:// | file:///path?sync=1 | http://peer/base | tiered://?hot=...&cold=... (default: mem://)")
-		dir      = flag.String("dir", "", "deprecated alias for -store file://<dir>")
-		syncW    = flag.Bool("sync", false, "deprecated: with -dir, alias for the ?sync=1 store option")
 		strategy = flag.String("strategy", "roundrobin", "placement strategy: roundrobin | random | sticky | leastloaded (pmanager/namenode)")
 		seed     = flag.Uint64("seed", 1, "placement RNG seed (random/sticky)")
 		stickyW  = flag.Int("sticky-window", 8, "sticky placement window (namenode's HDFS-0.20-like clustering)")
@@ -118,326 +108,82 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	newStore := func() store.Store {
-		u := *storeURL
-		switch {
-		case u == "" && *dir == "":
-			u = "mem://"
-		case u == "":
-			// Deprecated -dir/-sync spelling maps onto the URL form.
-			fu := url.URL{Scheme: "file", Path: *dir}
-			if !filepath.IsAbs(*dir) {
-				fu = url.URL{Scheme: "file", Opaque: *dir}
-			}
-			if *syncW {
-				fu.RawQuery = "sync=1"
-			}
-			u = fu.String()
-			log.Printf("-dir is deprecated; use -store %s", u)
-		case *dir != "":
-			log.Fatalf("-store and -dir are mutually exclusive (use -store %s)", u)
-		}
-		st, err := store.Open(u)
-		if err != nil {
-			log.Fatalf("open store: %v", err)
-		}
-		return st
+	cfg := node.Config{
+		Role:              node.Role(*role),
+		Pool:              rpc.NewPool(rpc.TCPDialer),
+		MetaAddrs:         splitAddrs(*metas),
+		MetaReplication:   *metaRepl,
+		MetaCacheSize:     *metaCach,
+		VMAddrs:           splitAddrs(*vmAddr),
+		PMAddr:            *pmAddr,
+		NNAddr:            *nnAddr,
+		Host:              *host,
+		StoreURL:          *storeURL,
+		Strategy:          newStrategy(*strategy, *seed, *stickyW),
+		BlockSize:         *blockSz,
+		Shard:             parseShard(*shard),
+		WriteTimeout:      *wtimeout,
+		DataDir:           *dataDir,
+		WALSyncInterval:   *walSync,
+		HeartbeatInterval: *hbEvery,
+		ExpireAfter:       *expire,
+		RepairInterval:    *repEvery,
+		RepairConcurrency: *repConc,
 	}
-	// openWAL opens the role's record log under -data-dir (nil without
-	// one: the daemon runs volatile, the pre-durability behavior).
-	openWAL := func(role string) *wal.Log {
-		if *dataDir == "" {
-			return nil
+	switch cfg.Role {
+	case node.VManager:
+		if *noRepair {
+			cfg.MetaAddrs = nil
+		} else if len(cfg.MetaAddrs) == 0 {
+			log.Fatal("vmanager: -meta is required (or pass -no-repair)")
 		}
-		opts := wal.Options{Policy: wal.SyncAlways}
-		if *walSync > 0 {
-			opts = wal.Options{Policy: wal.SyncInterval, Interval: *walSync}
+	case node.Repair:
+		if *repEvery <= 0 {
+			log.Fatal("repair: -repair-interval must be positive")
 		}
-		log_, err := wal.Open(filepath.Join(*dataDir, role), opts)
-		if err != nil {
-			log.Fatalf("open WAL under %s: %v", *dataDir, err)
-		}
-		return log_
 	}
-	// tracer is this daemon's span recorder. Rate 0 (the default)
+	// The tracer is this daemon's span recorder. Rate 0 (the default)
 	// records only requests that arrive already carrying a sampled
 	// trace context, so an untraced deployment pays the no-op path.
-	tracer := trace.New(*role, *trBuf)
-	tracer.SetSampling(*trSample, *trSlow)
-	traceExp := trace.NewExporter()
-	traceExp.Register(tracer)
-	// serveMetrics exports one service registry (and the daemon's trace
-	// buffer at /trace) over HTTP when -metrics-addr is set; it returns
-	// the listener's stop function (nil when the listener is off).
-	serveMetrics := func(name string, reg *metrics.Registry) func() error {
-		if *metAddr == "" {
-			return nil
+	cfg.Tracer = trace.New(*role, *trBuf)
+	cfg.Tracer.SetSampling(*trSample, *trSlow)
+	if cfg.Role != node.Repair {
+		lis, err := rpc.ListenTCP(*listen)
+		if err != nil {
+			log.Fatalf("listen %s: %v", *listen, err)
 		}
+		cfg.Listener = lis
+	}
+
+	n, err := node.Start(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("%s running %s", *role, n.Addr)
+
+	var stopMetrics func() error
+	if *metAddr != "" {
 		exp := metrics.NewExporter()
-		exp.Register(name, reg) // nil registries are ignored
-		hmux := http.NewServeMux()
-		hmux.Handle("/metrics", exp)
-		hmux.Handle("/", exp)
-		hmux.Handle("/trace", traceExp)
-		bound, stop, err := metrics.ServeHandler(*metAddr, hmux)
+		exp.Register(*role, n.Metrics())
+		traces := trace.NewExporter()
+		traces.Register(cfg.Tracer)
+		bound, stop, err := node.ServeMetrics(*metAddr, exp, traces)
 		if err != nil {
 			log.Fatalf("metrics listener on %s: %v", *metAddr, err)
 		}
 		log.Printf("metrics on http://%s/metrics (traces at /trace)", bound)
-		return stop
+		stopMetrics = stop
 	}
-	newStrategy := func() placement.Strategy {
-		switch *strategy {
-		case "roundrobin":
-			return placement.NewRoundRobin()
-		case "random":
-			return placement.NewRandom(*seed)
-		case "sticky":
-			return placement.NewRandomSticky(*stickyW, *seed)
-		case "leastloaded":
-			return placement.NewLeastLoaded()
-		default:
-			log.Fatalf("unknown strategy %q", *strategy)
-			return nil
-		}
-	}
-
-	// The repair daemon serves no RPC: it is a pure client of the
-	// version manager, provider manager, metadata DHT and providers,
-	// looping scan-and-repair until stopped.
-	if *role == "repair" {
-		if *vmAddr == "" || *pmAddr == "" || *metas == "" {
-			log.Fatal("repair: -vmanager, -pmanager and -meta are required")
-		}
-		if *repEvery <= 0 {
-			log.Fatal("repair: -repair-interval must be positive")
-		}
-		pool := rpc.NewPool(rpc.TCPDialer)
-		ring := dht.NewRing(splitAddrs(*metas), dht.DefaultVnodes)
-		dhtClient := dht.NewClient(ring, pool, *metaRepl)
-		eng := repair.New(repair.Config{
-			VM:          vmClient(pool, *vmAddr),
-			PM:          pmanager.NewClient(pool, *pmAddr),
-			Prov:        provider.NewClient(pool),
-			Meta:        mdtree.MaybeCache(mdtree.NewDHTStore(dhtClient), *metaCach),
-			Overlay:     repair.NewOverlay(dhtClient),
-			Concurrency: *repConc,
-		})
-		eng.Start(*repEvery)
-		log.Printf("repair loop running (every %s)", *repEvery)
-		stopM := serveMetrics("repair", eng.Metrics())
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		log.Printf("shutting down")
-		eng.Stop()
-		if stopM != nil {
-			_ = stopM()
-		}
-		return
-	}
-
-	var (
-		mux     *rpc.Mux
-		cleanup func()
-		provSvc *provider.Service
-		mreg    *metrics.Registry   // the role's registry for -metrics-addr
-		opName  func(uint16) string // method-id -> span op name for this role
-	)
-	switch *role {
-	case "meta":
-		svc := dht.NewMetaService(newStore())
-		mreg = svc.Metrics()
-		mux = svc.Mux()
-		opName = dht.MethodName
-
-	case "vmanager":
-		var repair vmanager.Repairer
-		if !*noRepair {
-			if *metas == "" {
-				log.Fatal("vmanager: -meta is required (or pass -no-repair)")
-			}
-			ring := dht.NewRing(splitAddrs(*metas), dht.DefaultVnodes)
-			pool := rpc.NewPool(rpc.TCPDialer)
-			st := mdtree.MaybeCache(mdtree.NewDHTStore(dht.NewClient(ring, pool, *metaRepl)), *metaCach)
-			repair = vmanager.MetadataRepairer(st)
-		}
-		si := parseShard(*shard)
-		walName := "vmanager"
-		if si.Count > 1 {
-			// One WAL per shard: kill/restart/recovery never crosses
-			// shard boundaries.
-			walName = filepath.Join("vmanager", fmt.Sprintf("shard-%d", si.Index))
-		}
-		var state *vmanager.State
-		if l := openWAL(walName); l != nil {
-			var err error
-			if state, err = vmanager.RecoverShard(l, repair, si); err != nil {
-				log.Fatalf("vmanager: recover from WAL: %v", err)
-			}
-			st := l.Status()
-			log.Printf("vmanager: shard %d/%d recovered from WAL (%d segment(s), %d bytes)", si.Index, si.Count, st.Segments, st.LogBytes)
-		} else {
-			state = vmanager.NewShardState(repair, si)
-		}
-		svc := vmanager.NewService(state)
-		if *wtimeout > 0 {
-			svc.StartJanitor(*wtimeout, *wtimeout/2)
-		}
-		cleanup = func() {
-			// Graceful shutdown: release parked waiters, stop the
-			// janitor, flush and close the WAL.
-			if *wtimeout > 0 {
-				svc.StopJanitor()
-			}
-			state.ReleaseWaiters()
-			if err := state.CloseWAL(); err != nil {
-				log.Printf("vmanager: close WAL: %v", err)
-			}
-		}
-		mreg = svc.Metrics()
-		mux = svc.Mux()
-		opName = vmanager.MethodName
-
-	case "pmanager":
-		svc := pmanager.NewService(pmanager.NewState(newStrategy()))
-		if *expire > 0 {
-			svc.StartExpiry(*expire, *expire/2)
-			cleanup = svc.StopExpiry
-		}
-		mreg = svc.Metrics()
-		mux = svc.Mux()
-		opName = pmanager.MethodName
-
-	case "namespace":
-		if *vmAddr == "" {
-			log.Fatal("namespace: -vmanager is required")
-		}
-		pool := rpc.NewPool(rpc.TCPDialer)
-		creator := namespace.VMBlobCreator(vmClient(pool, *vmAddr))
-		var state *namespace.State
-		if l := openWAL("namespace"); l != nil {
-			var err error
-			if state, err = namespace.Recover(l, creator); err != nil {
-				log.Fatalf("namespace: recover from WAL: %v", err)
-			}
-			st := l.Status()
-			log.Printf("namespace: recovered from WAL (%d segment(s), %d bytes)", st.Segments, st.LogBytes)
-		} else {
-			state = namespace.NewState(creator)
-		}
-		cleanup = func() {
-			if err := state.CloseWAL(); err != nil {
-				log.Printf("namespace: close WAL: %v", err)
-			}
-		}
-		nsSvc := namespace.NewService(state)
-		mreg = nsSvc.Metrics()
-		mux = nsSvc.Mux()
-		opName = namespace.MethodName
-
-	case "provider":
-		// Providers forward chain frames to downstream replicas over
-		// their own TCP pool.
-		provSvc = provider.NewService(newStore(), provider.WithForwarder(rpc.NewPool(rpc.TCPDialer)))
-		mreg = provSvc.Metrics()
-		mux = provSvc.Mux()
-		opName = provider.MethodName
-
-	case "datanode":
-		dnSvc := provider.NewService(newStore())
-		mreg = dnSvc.Metrics()
-		mux = dnSvc.Mux()
-		opName = provider.MethodName
-
-	case "namenode":
-		mux = hdfs.NewService(hdfs.NewNamenode(*blockSz, newStrategy())).Mux()
-
-	default:
-		log.Fatalf("unknown role %q", *role)
-	}
-
-	lis, err := rpc.ListenTCP(*listen)
-	if err != nil {
-		log.Fatalf("listen %s: %v", *listen, err)
-	}
-	addr := lis.Addr().String()
-	srv := rpc.NewServer(mux)
-	srv.SetTrace(tracer, opName)
-	go func() {
-		if err := srv.Serve(lis); err != nil {
-			log.Printf("serve: %v", err)
-		}
-	}()
-	log.Printf("%s listening on %s", *role, addr)
-	stopM := serveMetrics(*role, mreg)
-
-	// Storage daemons announce themselves to their manager so clients
-	// can be pointed at the manager alone.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	switch *role {
-	case "provider":
-		if *pmAddr == "" {
-			log.Fatal("provider: -pmanager is required")
-		}
-		pool := rpc.NewPool(rpc.TCPDialer)
-		pm := pmanager.NewClient(pool, *pmAddr)
-		if err := pm.Register(ctx, addr, *host); err != nil {
-			log.Fatalf("register with provider manager %s: %v", *pmAddr, err)
-		}
-		log.Printf("registered with provider manager %s as host %q", *pmAddr, *host)
-		if *hbEvery > 0 {
-			// The liveness loop: heartbeats carry live store statistics
-			// so the manager's listings track what the provider actually
-			// holds, and going silent for the manager's expiry window
-			// drops this provider from the allocation pool.
-			go func() {
-				t := time.NewTicker(*hbEvery)
-				defer t.Stop()
-				for range t.C {
-					hctx, cancel := context.WithTimeout(context.Background(), *hbEvery)
-					known, err := pm.Heartbeat(hctx, addr, provSvc.Store().Stats())
-					switch {
-					case err != nil:
-						log.Printf("heartbeat to %s: %v", *pmAddr, err)
-					case !known:
-						// The manager restarted and lost its membership:
-						// re-register so the allocation pool recovers
-						// without restarting every provider.
-						if err := pm.Register(hctx, addr, *host); err != nil {
-							log.Printf("re-register with %s: %v", *pmAddr, err)
-						} else {
-							log.Printf("re-registered with provider manager %s", *pmAddr)
-						}
-					}
-					cancel()
-				}
-			}()
-		}
-	case "datanode":
-		if *nnAddr == "" {
-			log.Fatal("datanode: -namenode is required")
-		}
-		pool := rpc.NewPool(rpc.TCPDialer)
-		if err := hdfs.NewNNClient(pool, *nnAddr).Register(ctx, addr, *host); err != nil {
-			log.Fatalf("register with namenode %s: %v", *nnAddr, err)
-		}
-		log.Printf("registered with namenode %s as host %q", *nnAddr, *host)
-	}
-	cancel()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Printf("shutting down")
-	if cleanup != nil {
-		cleanup()
+	n.Stop()
+	if stopMetrics != nil {
+		_ = stopMetrics()
 	}
-	if stopM != nil {
-		_ = stopM()
-	}
-	srv.Close()
+	cfg.Pool.Close()
 }
 
 func splitAddrs(s string) []string {
@@ -450,14 +196,19 @@ func splitAddrs(s string) []string {
 	return out
 }
 
-// vmClient turns a -vmanager flag value (one address, or the full
-// comma-separated shard list in shard order) into the matching client.
-func vmClient(pool *rpc.Pool, flagVal string) vmanager.API {
-	addrs := splitAddrs(flagVal)
-	if len(addrs) > 1 {
-		return vmanager.NewRouter(pool, addrs)
+func newStrategy(name string, seed uint64, stickyWindow int) placement.Strategy {
+	switch name {
+	case "roundrobin":
+		return placement.NewRoundRobin()
+	case "random":
+		return placement.NewRandom(seed)
+	case "sticky":
+		return placement.NewRandomSticky(stickyWindow, seed)
+	case "leastloaded":
+		return placement.NewLeastLoaded()
 	}
-	return vmanager.NewClient(pool, addrs[0])
+	log.Fatalf("unknown strategy %q", name)
+	return nil
 }
 
 // parseShard parses -shard "k/K" into a ShardInfo ("" = unsharded).

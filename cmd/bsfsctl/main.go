@@ -100,8 +100,6 @@ func main() {
 		mrepl   = flag.Int("meta-replication", 1, "DHT replication level")
 		mcache  = flag.Int("meta-cache", -1, "immutable-node cache entries (<0 default, 0 off)")
 		host    = flag.String("host", "", "client host label (affinity experiments)")
-		plane   = flag.String("data-plane", "chained", "write replication transport: chained | fanout")
-		frame   = flag.Int("frame-size", 0, "chained-plane streaming frame bytes (0 = default)")
 		rahead  = flag.Int("readahead", bsfs.DefaultReadaheadBlocks, "reader async prefetch window in blocks (0 = synchronous)")
 		wbehind = flag.Int("write-behind", bsfs.DefaultWriteBehindDepth, "writer background block commits in flight (0 = synchronous)")
 		noCache = flag.Bool("no-cache", false, "disable the BSFS block cache and streaming pipeline (ablation)")
@@ -112,16 +110,6 @@ func main() {
 	if flag.NArg() < 1 {
 		usage()
 		os.Exit(2)
-	}
-
-	var dataPlane core.DataPlane
-	switch *plane {
-	case "chained":
-		dataPlane = core.DataPlaneChained
-	case "fanout":
-		dataPlane = core.DataPlaneFanout
-	default:
-		fatal(fmt.Errorf("unknown data plane %q (want chained or fanout)", *plane))
 	}
 
 	// top only talks HTTP to /metrics endpoints — no RPC stack needed.
@@ -207,8 +195,6 @@ func main() {
 			MetaStore:     metaStore,
 			Host:          *host,
 			MetaCacheSize: *mcache,
-			DataPlane:     dataPlane,
-			FrameSize:     *frame,
 			Overlay:       overlay,
 		}),
 		NS:               namespace.NewClient(pool, *nsAddr),

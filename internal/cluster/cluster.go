@@ -1,16 +1,17 @@
-// Package cluster assembles whole deployments in one process: every
-// daemon of Figure 2 (version manager, provider manager, data
-// providers, metadata providers, namespace manager) wired over an
-// in-process or TCP transport, exactly as the automated Grid'5000
-// deployment of Section V-A wires physical machines. Tests, examples
-// and the CLI tools all start clusters through this package.
+// Package cluster runs whole deployments in one process: every daemon
+// of Figure 2 (version manager, provider manager, data providers,
+// metadata providers, namespace manager) plus the repair plane, over an
+// in-process or loopback TCP transport, as the automated Grid'5000
+// deployment of Section V-A runs them on physical machines. Each
+// daemon is started by internal/node, the same assembly path
+// cmd/blobseerd runs in production; this package only picks the
+// transport, loops over the roles and aggregates metrics and traces.
+// Tests, examples and the CLI tools all start clusters through it.
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"net"
-	"net/http"
 	"sync"
 	"time"
 
@@ -20,6 +21,7 @@ import (
 	"blobseer/internal/mdtree"
 	"blobseer/internal/metrics"
 	"blobseer/internal/namespace"
+	"blobseer/internal/node"
 	"blobseer/internal/placement"
 	"blobseer/internal/pmanager"
 	"blobseer/internal/provider"
@@ -40,10 +42,8 @@ type Config struct {
 	MetaReplication int // DHT replication level
 	MetaCacheSize   int // per-client immutable-node cache entries (<0 default, 0 off)
 	Strategy        placement.Strategy
-	WriteTimeout    time.Duration  // janitor abort threshold; 0 disables
-	UseTCP          bool           // listen on loopback TCP instead of inproc
-	DataPlane       core.DataPlane // write transport (chained by default)
-	FrameSize       int            // chained-plane frame size (0 = provider default)
+	WriteTimeout    time.Duration // janitor abort threshold; 0 disables
+	UseTCP          bool          // listen on loopback TCP instead of inproc
 	// BSFS streaming-pipeline tunables (Section IV-B): 0 picks the
 	// bsfs defaults, negative disables (fully synchronous block I/O).
 	ReadaheadBlocks  int  // reader async prefetch window, in blocks
@@ -152,14 +152,11 @@ type BlobSeer struct {
 	MetaStore     mdtree.Store
 	Overlay       *repair.Overlay
 
-	vmSvcs     []*vmanager.Service // per shard, in shard order
-	pmSvc      *pmanager.Service
-	nsSvc      *namespace.Service
-	provSvcs   map[string]*provider.Service
-	provStores []store.Store // provider-order backends, closed on Stop
-	metaSvcs   map[string]*dht.MetaService
-
-	repairEng *repair.Engine
+	metas     map[string]*node.Node
+	vms       []*node.Node // per shard, in shard order
+	pm, ns    *node.Node
+	providers map[string]*node.Node
+	repair    *node.Node
 
 	exporter    *metrics.Exporter
 	metricsURL  string
@@ -170,207 +167,33 @@ type BlobSeer struct {
 	clientTracer *trace.Tracer            // shared by every NewClient of this deployment
 	traceExp     *trace.Exporter
 
-	net       *rpc.InprocNetwork
-	serversMu sync.Mutex
-	servers   []*rpc.Server
-	srvByAddr map[string]*rpc.Server
-
-	heartbeatMu   sync.Mutex
-	stopHeartbeat map[string]chan struct{} // per-provider heartbeat loops
+	net *rpc.InprocNetwork // nil on TCP
 }
-
-// listenerFactory abstracts inproc vs TCP endpoints.
-type listenerFactory func(name string) (net.Listener, string, error)
 
 // StartBlobSeer deploys all services of a BlobSeer instance.
 func StartBlobSeer(cfg Config) (*BlobSeer, error) {
 	cfg.fill()
 	c := &BlobSeer{
-		Cfg:           cfg,
-		provSvcs:      make(map[string]*provider.Service),
-		metaSvcs:      make(map[string]*dht.MetaService),
-		srvByAddr:     make(map[string]*rpc.Server),
-		stopHeartbeat: make(map[string]chan struct{}),
-		tracers:       make(map[string]*trace.Tracer),
-		traceExp:      trace.NewExporter(),
+		Cfg:       cfg,
+		metas:     make(map[string]*node.Node),
+		providers: make(map[string]*node.Node),
+		exporter:  metrics.NewExporter(),
+		tracers:   make(map[string]*trace.Tracer),
+		traceExp:  trace.NewExporter(),
 	}
 	c.clientTracer = trace.New("client", cfg.TraceBuf)
 	c.clientTracer.SetSampling(cfg.TraceSample, cfg.TraceSlow)
 	c.traceExp.Register(c.clientTracer)
-
-	var listen listenerFactory
-	if cfg.UseTCP {
-		listen = func(name string) (net.Listener, string, error) {
-			lis, err := rpc.ListenTCP("127.0.0.1:0")
-			if err != nil {
-				return nil, "", err
-			}
-			return lis, lis.Addr().String(), nil
-		}
-		c.Pool = rpc.NewPool(rpc.TCPDialer)
-	} else {
-		c.net = rpc.NewInprocNetwork()
-		listen = func(name string) (net.Listener, string, error) {
-			lis, err := c.net.Listen(name)
-			if err != nil {
-				return nil, "", err
-			}
-			return lis, name, nil
-		}
-		c.Pool = rpc.NewPool(c.net.Dial)
-	}
+	c.net, c.Pool = newTransport(cfg.UseTCP)
 	if cfg.CallTimeout > 0 {
 		c.Pool.SetCallTimeout(cfg.CallTimeout)
 	}
-
-	serve := func(name string, mux *rpc.Mux, opName func(uint16) string) (string, error) {
-		lis, addr, err := listen(name)
-		if err != nil {
-			return "", err
-		}
-		srv := rpc.NewServer(mux)
-		srv.SetTrace(c.tracerFor(name), opName)
-		c.serversMu.Lock()
-		c.servers = append(c.servers, srv)
-		c.srvByAddr[addr] = srv
-		c.serversMu.Unlock()
-		go srv.Serve(lis)
-		return addr, nil
-	}
-
-	// Metadata providers + DHT.
-	for i := 0; i < cfg.MetaProviders; i++ {
-		svc := dht.NewMetaService(store.NewMemStore())
-		addr, err := serve(fmt.Sprintf("meta-%d", i), svc.Mux(), dht.MethodName)
-		if err != nil {
-			c.Stop()
-			return nil, err
-		}
-		c.MetaAddrs = append(c.MetaAddrs, addr)
-		c.metaSvcs[addr] = svc
-	}
-	ring := dht.NewRing(c.MetaAddrs, dht.DefaultVnodes)
-	dhtClient := dht.NewClient(ring, c.Pool, cfg.MetaReplication)
-	c.MetaStore = mdtree.NewDHTStore(dhtClient)
-	// The location overlay shares the metadata DHT: relocation records
-	// are tiny KV entries under their own namespace.
-	c.Overlay = repair.NewOverlay(dhtClient)
-
-	// Version manager shards (with abort repair over the DHT, each
-	// recovered from its own WAL when the deployment is durable).
-	for k := 0; k < cfg.VMShards; k++ {
-		vmState, err := c.newVMState(k)
-		if err != nil {
-			c.Stop()
-			return nil, err
-		}
-		svc := vmanager.NewService(vmState)
-		if cfg.WriteTimeout > 0 {
-			svc.StartJanitor(cfg.WriteTimeout, cfg.WriteTimeout/2)
-		}
-		addr, err := serve(c.vmName(k), svc.Mux(), vmanager.MethodName)
-		if err != nil {
-			svc.StopJanitor()
-			c.Stop()
-			return nil, err
-		}
-		c.vmSvcs = append(c.vmSvcs, svc)
-		c.VMAddrs = append(c.VMAddrs, addr)
-	}
-	c.VMAddr = c.VMAddrs[0]
-
-	// Provider manager (with the liveness-expiry loop when configured).
-	c.pmSvc = pmanager.NewService(pmanager.NewState(cfg.Strategy))
-	if cfg.ExpireAfter > 0 {
-		c.pmSvc.StartExpiry(cfg.ExpireAfter, cfg.ExpireAfter/2)
-	}
-	pmAddr, err := serve("pmanager", c.pmSvc.Mux(), pmanager.MethodName)
-	if err != nil {
+	if err := c.startAll(); err != nil {
 		c.Stop()
 		return nil, err
 	}
-	c.PMAddr = pmAddr
-
-	// Namespace manager (the BSFS layer's file->BLOB map).
-	nsState, err := c.newNSState()
-	if err != nil {
-		c.Stop()
-		return nil, err
-	}
-	c.nsSvc = namespace.NewService(nsState)
-	nsAddr, err := serve("namespace", c.nsSvc.Mux(), namespace.MethodName)
-	if err != nil {
-		c.Stop()
-		return nil, err
-	}
-	c.NSAddr = nsAddr
-
-	// Data providers; each lives on its own synthetic host, mirroring
-	// the paper's one-provider-per-machine deployment. The block store
-	// behind each comes from the backend URL (mem:// when unset).
-	storeURL := cfg.StoreURL
-	if storeURL == "" {
-		storeURL = "mem://"
-	}
-	for i := 0; i < cfg.DataProviders; i++ {
-		st, err := store.OpenMember(storeURL, i)
-		if err != nil {
-			c.Stop()
-			return nil, fmt.Errorf("cluster: provider %d store: %w", i, err)
-		}
-		c.provStores = append(c.provStores, st)
-		svc := provider.NewService(st, provider.WithForwarder(c.Pool))
-		addr, err := serve(fmt.Sprintf("provider-%d", i), svc.Mux(), provider.MethodName)
-		if err != nil {
-			c.Stop()
-			return nil, err
-		}
-		c.ProviderAddrs = append(c.ProviderAddrs, addr)
-		c.provSvcs[addr] = svc
-		c.pmSvc.State().Register(addr, c.HostOf(i))
-		if cfg.HeartbeatInterval > 0 {
-			c.startHeartbeat(addr, c.HostOf(i), svc)
-		}
-	}
-
-	// Repair engine: scanner + executor over the deployment's own
-	// client stack. Constructed always (tests and bsfsctl-style tools
-	// drive RunOnce directly); the background loop only runs when a
-	// scan period is configured.
-	c.repairEng = repair.New(repair.Config{
-		VM:          c.newVMAPI(),
-		PM:          pmanager.NewClient(c.Pool, c.PMAddr),
-		Prov:        provider.NewClient(c.Pool),
-		Meta:        c.MetaStore,
-		Overlay:     c.Overlay,
-		Concurrency: cfg.RepairConcurrency,
-	})
-	if cfg.RepairInterval > 0 {
-		c.repairEng.Start(cfg.RepairInterval)
-	}
-
-	// Metrics export: every daemon's registry under its service name —
-	// the same layout a multi-machine deployment gets from one
-	// blobseerd -metrics-addr per daemon, collapsed onto one endpoint.
-	c.exporter = metrics.NewExporter()
-	for k, svc := range c.vmSvcs {
-		c.exporter.Register(c.vmName(k), svc.Metrics())
-	}
-	c.exporter.Register("pmanager", c.pmSvc.Metrics())
-	c.exporter.Register("namespace", c.nsSvc.Metrics())
-	for i, addr := range c.ProviderAddrs {
-		c.exporter.Register(fmt.Sprintf("provider-%d", i), c.provSvcs[addr].Metrics())
-	}
-	for i, addr := range c.MetaAddrs {
-		c.exporter.Register(fmt.Sprintf("meta-%d", i), c.metaSvcs[addr].Metrics())
-	}
-	c.exporter.Register("repair", c.repairEng.Metrics())
 	if cfg.MetricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", c.exporter)
-		mux.Handle("/", c.exporter)
-		mux.Handle("/trace", c.traceExp)
-		bound, stop, err := metrics.ServeHandler(cfg.MetricsAddr, mux)
+		bound, stop, err := node.ServeMetrics(cfg.MetricsAddr, c.exporter, c.traceExp)
 		if err != nil {
 			c.Stop()
 			return nil, fmt.Errorf("cluster: metrics listener: %w", err)
@@ -381,10 +204,154 @@ func StartBlobSeer(cfg Config) (*BlobSeer, error) {
 	return c, nil
 }
 
+// startAll starts every daemon, each role after the ones it dials.
+func (c *BlobSeer) startAll() error {
+	cfg := c.Cfg
+	for i := 0; i < cfg.MetaProviders; i++ {
+		n, err := c.start(fmt.Sprintf("meta-%d", i), "", node.Config{Role: node.Meta})
+		if err != nil {
+			return err
+		}
+		c.MetaAddrs = append(c.MetaAddrs, n.Addr)
+		c.metas[n.Addr] = n
+	}
+	dhtClient := dht.NewClient(dht.NewRing(c.MetaAddrs, dht.DefaultVnodes), c.Pool, cfg.MetaReplication)
+	c.MetaStore = mdtree.NewDHTStore(dhtClient)
+	// The location overlay shares the metadata DHT: relocation records
+	// are tiny KV entries under their own namespace.
+	c.Overlay = repair.NewOverlay(dhtClient)
+
+	for k := 0; k < cfg.VMShards; k++ {
+		n, err := c.start(c.vmName(k), "", node.Config{
+			Role:            node.VManager,
+			MetaAddrs:       c.MetaAddrs,
+			MetaReplication: cfg.MetaReplication,
+			Shard:           vmanager.ShardInfo{Index: k, Count: cfg.VMShards},
+			WriteTimeout:    cfg.WriteTimeout,
+			DataDir:         cfg.DataDir,
+			WALSyncInterval: cfg.WALSyncInterval,
+		})
+		if err != nil {
+			return err
+		}
+		c.vms = append(c.vms, n)
+		c.VMAddrs = append(c.VMAddrs, n.Addr)
+	}
+	c.VMAddr = c.VMAddrs[0]
+
+	var err error
+	if c.pm, err = c.start("pmanager", "", node.Config{
+		Role:        node.PManager,
+		Strategy:    cfg.Strategy,
+		ExpireAfter: cfg.ExpireAfter,
+	}); err != nil {
+		return err
+	}
+	c.PMAddr = c.pm.Addr
+
+	if c.ns, err = c.start("namespace", "", node.Config{
+		Role:            node.Namespace,
+		VMAddrs:         c.VMAddrs,
+		DataDir:         cfg.DataDir,
+		WALSyncInterval: cfg.WALSyncInterval,
+	}); err != nil {
+		return err
+	}
+	c.NSAddr = c.ns.Addr
+
+	// Each data provider lives on its own synthetic host, mirroring the
+	// paper's one-provider-per-machine deployment.
+	storeURL := cfg.StoreURL
+	if storeURL == "" {
+		storeURL = "mem://"
+	}
+	for i := 0; i < cfg.DataProviders; i++ {
+		n, err := c.start(fmt.Sprintf("provider-%d", i), "", node.Config{
+			Role:              node.Provider,
+			PMAddr:            c.PMAddr,
+			Host:              c.HostOf(i),
+			StoreURL:          store.MemberURL(storeURL, i),
+			HeartbeatInterval: cfg.HeartbeatInterval,
+		})
+		if err != nil {
+			return err
+		}
+		c.ProviderAddrs = append(c.ProviderAddrs, n.Addr)
+		c.providers[n.Addr] = n
+	}
+
+	// The repair engine always exists (tests and tools drive RunOnce
+	// directly); its background loop runs only with a scan period.
+	c.repair, err = c.start("repair", "", node.Config{
+		Role:              node.Repair,
+		VMAddrs:           c.VMAddrs,
+		PMAddr:            c.PMAddr,
+		MetaAddrs:         c.MetaAddrs,
+		MetaReplication:   cfg.MetaReplication,
+		RepairInterval:    cfg.RepairInterval,
+		RepairConcurrency: cfg.RepairConcurrency,
+	})
+	return err
+}
+
+// start runs one daemon named name on a fresh endpoint, or on addr
+// again when restarting it, and exports its metrics under name.
+func (c *BlobSeer) start(name, addr string, cfg node.Config) (*node.Node, error) {
+	if cfg.Role != node.Repair {
+		lis, err := listen(c.net, name, addr)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Listener = lis
+		cfg.Tracer = c.tracerFor(name)
+	}
+	cfg.Pool = c.Pool
+	n, err := node.Start(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %s: %w", name, err)
+	}
+	c.exporter.Register(name, n.Metrics())
+	return n, nil
+}
+
+// newTransport returns a deployment's network: named in-process
+// endpoints (nil on TCP) and the pool every daemon and client dials.
+func newTransport(useTCP bool) (*rpc.InprocNetwork, *rpc.Pool) {
+	if useTCP {
+		return nil, rpc.NewPool(rpc.TCPDialer)
+	}
+	inproc := rpc.NewInprocNetwork()
+	return inproc, rpc.NewPool(inproc.Dial)
+}
+
+// listen binds a daemon's endpoint: its name in process, or addr on
+// loopback TCP (a free port when addr is empty). A restarted daemon
+// comes back on its configured address, as on a real machine.
+func listen(inproc *rpc.InprocNetwork, name, addr string) (net.Listener, error) {
+	if inproc != nil {
+		return inproc.Listen(name)
+	}
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
+	return rpc.ListenTCP(addr)
+}
+
+// vmName is shard k's endpoint name; shard 0 keeps the historical
+// "vmanager" name so single-shard deployments are wire-identical.
+func (c *BlobSeer) vmName(k int) string {
+	if k == 0 {
+		return "vmanager"
+	}
+	return fmt.Sprintf("vmanager-%d", k)
+}
+
 // tracerFor returns (creating on first use) the tracer of a named
-// daemon and registers it with the deployment trace exporter. Daemon
-// tracers never head-sample on their own — they record exactly the
-// requests that arrive carrying a sampled trace context.
+// daemon and registers it with the deployment trace exporter. A
+// restarted daemon keeps its tracer, so spans recorded before a crash
+// and after the recovery stitch into one tree. Daemon tracers never
+// head-sample on their own — they record exactly the requests that
+// arrive carrying a sampled trace context.
 func (c *BlobSeer) tracerFor(name string) *trace.Tracer {
 	c.tracersMu.Lock()
 	defer c.tracersMu.Unlock()
@@ -397,35 +364,6 @@ func (c *BlobSeer) tracerFor(name string) *trace.Tracer {
 	return t
 }
 
-// startHeartbeat launches the provider's liveness loop: every interval
-// it reports itself (with live store statistics) to the provider
-// manager over the same RPC path a real daemon uses, re-registering if
-// the manager has lost its membership.
-func (c *BlobSeer) startHeartbeat(addr, host string, svc *provider.Service) {
-	stop := make(chan struct{})
-	c.heartbeatMu.Lock()
-	c.stopHeartbeat[addr] = stop
-	c.heartbeatMu.Unlock()
-	pm := pmanager.NewClient(c.Pool, c.PMAddr)
-	interval := c.Cfg.HeartbeatInterval
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				ctx, cancel := context.WithTimeout(context.Background(), interval)
-				if known, err := pm.Heartbeat(ctx, addr, svc.Store().Stats()); err == nil && !known {
-					_ = pm.Register(ctx, addr, host)
-				}
-				cancel()
-			}
-		}
-	}()
-}
-
 // KillProvider simulates a provider crash: its RPC server goes down
 // (in-flight and future calls fail at the transport level) and its
 // heartbeat loop stops, so only failure feedback or heartbeat expiry
@@ -433,22 +371,13 @@ func (c *BlobSeer) startHeartbeat(addr, host string, svc *provider.Service) {
 // signature. The provider's store is NOT cleared: a later repair pass
 // must not depend on it, but tests can inspect it.
 func (c *BlobSeer) KillProvider(addr string) {
-	c.heartbeatMu.Lock()
-	if stop, ok := c.stopHeartbeat[addr]; ok {
-		close(stop)
-		delete(c.stopHeartbeat, addr)
-	}
-	c.heartbeatMu.Unlock()
-	c.serversMu.Lock()
-	srv, ok := c.srvByAddr[addr]
-	c.serversMu.Unlock()
-	if ok {
-		srv.Close()
+	if n := c.providers[addr]; n != nil {
+		n.Kill()
 	}
 }
 
 // RepairEngine exposes the deployment's repair plane (tests, tools).
-func (c *BlobSeer) RepairEngine() *repair.Engine { return c.repairEng }
+func (c *BlobSeer) RepairEngine() *repair.Engine { return c.repair.RepairEng }
 
 // Exporter exposes the deployment-wide metrics exporter. It is always
 // populated (register extra registries, snapshot in tests); an HTTP
@@ -476,6 +405,10 @@ func (c *BlobSeer) HostOf(i int) string { return fmt.Sprintf("host-%d", i) }
 // (a dedicated, non-co-deployed node, as in the paper's microbenchmark
 // boot-up phases) or one of HostOf(i) for a co-deployed client.
 func (c *BlobSeer) NewClient(host string) *core.Client {
+	return c.newClient(host, nil)
+}
+
+func (c *BlobSeer) newClient(host string, reg *metrics.Registry) *core.Client {
 	return core.NewClient(core.Config{
 		Pool:          c.Pool,
 		VMAddrs:       c.VMAddrs,
@@ -483,9 +416,8 @@ func (c *BlobSeer) NewClient(host string) *core.Client {
 		MetaStore:     c.MetaStore,
 		Host:          host,
 		MetaCacheSize: c.Cfg.MetaCacheSize,
-		DataPlane:     c.Cfg.DataPlane,
-		FrameSize:     c.Cfg.FrameSize,
 		Overlay:       c.Overlay,
+		Metrics:       reg,
 		Tracer:        c.clientTracer,
 	})
 }
@@ -496,19 +428,7 @@ func (c *BlobSeer) NewClient(host string) *core.Client {
 // stream pipeline gauges) next to every daemon.
 func (c *BlobSeer) NewMeteredClient(host, name string) (*core.Client, *metrics.Registry) {
 	reg := metrics.NewRegistry()
-	cl := core.NewClient(core.Config{
-		Pool:          c.Pool,
-		VMAddrs:       c.VMAddrs,
-		PMAddr:        c.PMAddr,
-		MetaStore:     c.MetaStore,
-		Host:          host,
-		MetaCacheSize: c.Cfg.MetaCacheSize,
-		DataPlane:     c.Cfg.DataPlane,
-		FrameSize:     c.Cfg.FrameSize,
-		Overlay:       c.Overlay,
-		Metrics:       reg,
-		Tracer:        c.clientTracer,
-	})
+	cl := c.newClient(host, reg)
 	c.exporter.Register(name, reg)
 	return cl, reg
 }
@@ -517,6 +437,15 @@ func (c *BlobSeer) NewMeteredClient(host, name string) (*core.Client, *metrics.R
 // metrics through the deployment exporter under name.
 func (c *BlobSeer) NewMeteredBSFS(host, name string) (*bsfs.FS, error) {
 	cl, _ := c.NewMeteredClient(host, name)
+	return c.newBSFS(cl)
+}
+
+// NewBSFS returns a BSFS file-system client for this deployment.
+func (c *BlobSeer) NewBSFS(host string) (*bsfs.FS, error) {
+	return c.newBSFS(c.NewClient(host))
+}
+
+func (c *BlobSeer) newBSFS(cl *core.Client) (*bsfs.FS, error) {
 	return bsfs.New(bsfs.Config{
 		Core:             cl,
 		NS:               namespace.NewClient(c.Pool, c.NSAddr),
@@ -528,93 +457,65 @@ func (c *BlobSeer) NewMeteredBSFS(host, name string) (*bsfs.FS, error) {
 	})
 }
 
-// NewBSFS returns a BSFS file-system client for this deployment.
-func (c *BlobSeer) NewBSFS(host string) (*bsfs.FS, error) {
-	return bsfs.New(bsfs.Config{
-		Core:             c.NewClient(host),
-		NS:               namespace.NewClient(c.Pool, c.NSAddr),
-		BlockSize:        c.Cfg.BlockSize,
-		Replication:      c.Cfg.Replication,
-		ReadaheadBlocks:  c.Cfg.ReadaheadBlocks,
-		WriteBehindDepth: c.Cfg.WriteBehindDepth,
-		DisableCache:     c.Cfg.DisableCache,
-	})
-}
-
 // VMService exposes the version manager — shard 0 when sharded (tests).
-func (c *BlobSeer) VMService() *vmanager.Service { return c.vmSvcs[0] }
+func (c *BlobSeer) VMService() *vmanager.Service { return c.vms[0].VM }
 
 // VMServiceShard exposes one version-manager shard (tests).
-func (c *BlobSeer) VMServiceShard(k int) *vmanager.Service { return c.vmSvcs[k] }
+func (c *BlobSeer) VMServiceShard(k int) *vmanager.Service { return c.vms[k].VM }
 
 // VMShards reports the configured shard count.
-func (c *BlobSeer) VMShards() int { return len(c.vmSvcs) }
+func (c *BlobSeer) VMShards() int { return len(c.vms) }
 
 // NSService exposes the namespace manager (tests).
-func (c *BlobSeer) NSService() *namespace.Service { return c.nsSvc }
+func (c *BlobSeer) NSService() *namespace.Service { return c.ns.NS }
 
 // PMService exposes the provider manager (tests, layout metrics).
-func (c *BlobSeer) PMService() *pmanager.Service { return c.pmSvc }
+func (c *BlobSeer) PMService() *pmanager.Service { return c.pm.PM }
 
 // ProviderService returns the daemon behind a provider address (tests,
 // failure injection).
-func (c *BlobSeer) ProviderService(addr string) *provider.Service { return c.provSvcs[addr] }
+func (c *BlobSeer) ProviderService(addr string) *provider.Service {
+	if n := c.providers[addr]; n != nil {
+		return n.Provider
+	}
+	return nil
+}
 
 // MetaService returns the daemon behind a metadata provider address
 // (tests, failure injection).
-func (c *BlobSeer) MetaService(addr string) *dht.MetaService { return c.metaSvcs[addr] }
+func (c *BlobSeer) MetaService(addr string) *dht.MetaService {
+	if n := c.metas[addr]; n != nil {
+		return n.Meta
+	}
+	return nil
+}
 
-// Stop shuts every daemon down.
+// Stop shuts every daemon down gracefully, in reverse start order, so
+// no daemon outlives one it dials.
 func (c *BlobSeer) Stop() {
 	if c.stopMetrics != nil {
 		_ = c.stopMetrics()
 		c.stopMetrics = nil
 	}
-	if c.repairEng != nil {
-		c.repairEng.Stop()
+	var all []*node.Node
+	for _, a := range c.MetaAddrs {
+		all = append(all, c.metas[a])
 	}
-	c.heartbeatMu.Lock()
-	for addr, stop := range c.stopHeartbeat {
-		close(stop)
-		delete(c.stopHeartbeat, addr)
+	all = append(all, c.vms...)
+	all = append(all, c.pm, c.ns)
+	for _, a := range c.ProviderAddrs {
+		all = append(all, c.providers[a])
 	}
-	c.heartbeatMu.Unlock()
-	if c.pmSvc != nil {
-		c.pmSvc.StopExpiry()
-	}
-	for _, svc := range c.vmSvcs {
-		svc.StopJanitor()
-	}
-	c.serversMu.Lock()
-	servers := append([]*rpc.Server(nil), c.servers...)
-	c.serversMu.Unlock()
-	for _, s := range servers {
-		s.Sever()
-	}
-	// Parked WaitPublished handlers would stall the drain below for
-	// their full wait timeout; wake them now that no response can
-	// reach a client.
-	for _, svc := range c.vmSvcs {
-		svc.State().ReleaseWaiters()
-	}
-	for _, s := range servers {
-		s.Close()
-	}
-	// Graceful shutdown: flush the control-plane logs (the SIGTERM
-	// path of blobseerd does the same).
-	for _, svc := range c.vmSvcs {
-		svc.State().CloseWAL()
-	}
-	if c.nsSvc != nil {
-		c.nsSvc.State().CloseWAL()
-	}
-	// Release the provider backends (stops tiered policy loops, closes
-	// HTTP connection pools).
-	for _, st := range c.provStores {
-		st.Close()
-	}
-	c.provStores = nil
-	if c.Pool != nil {
-		c.Pool.Close()
+	all = append(all, c.repair)
+	stopAll(all)
+	c.Pool.Close()
+}
+
+// stopAll stops nodes in reverse order, skipping the never-started.
+func stopAll(nodes []*node.Node) {
+	for i := len(nodes) - 1; i >= 0; i-- {
+		if nodes[i] != nil {
+			nodes[i].Stop()
+		}
 	}
 }

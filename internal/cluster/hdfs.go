@@ -2,13 +2,12 @@ package cluster
 
 import (
 	"fmt"
-	"net"
 
 	"blobseer/internal/hdfs"
+	"blobseer/internal/node"
 	"blobseer/internal/placement"
 	"blobseer/internal/provider"
 	"blobseer/internal/rpc"
-	"blobseer/internal/store"
 	"blobseer/internal/util"
 )
 
@@ -43,68 +42,48 @@ type HDFS struct {
 	NNAddr        string
 	DatanodeAddrs []string
 
-	nnSvc   *hdfs.Service
-	dnSvcs  map[string]*provider.Service
-	net     *rpc.InprocNetwork
-	servers []*rpc.Server
+	nn  *node.Node
+	dns map[string]*node.Node
+	net *rpc.InprocNetwork // nil on TCP
 }
 
 // StartHDFS deploys a namenode plus datanodes.
 func StartHDFS(cfg HDFSConfig) (*HDFS, error) {
 	cfg.fill()
-	h := &HDFS{Cfg: cfg, dnSvcs: make(map[string]*provider.Service)}
-
-	var listen func(name string) (net.Listener, string, error)
-	if cfg.UseTCP {
-		listen = func(name string) (net.Listener, string, error) {
-			lis, err := rpc.ListenTCP("127.0.0.1:0")
-			if err != nil {
-				return nil, "", err
-			}
-			return lis, lis.Addr().String(), nil
-		}
-		h.Pool = rpc.NewPool(rpc.TCPDialer)
-	} else {
-		h.net = rpc.NewInprocNetwork()
-		listen = func(name string) (net.Listener, string, error) {
-			lis, err := h.net.Listen(name)
-			if err != nil {
-				return nil, "", err
-			}
-			return lis, name, nil
-		}
-		h.Pool = rpc.NewPool(h.net.Dial)
-	}
-
-	serve := func(name string, mux *rpc.Mux) (string, error) {
-		lis, addr, err := listen(name)
+	h := &HDFS{Cfg: cfg, dns: make(map[string]*node.Node)}
+	h.net, h.Pool = newTransport(cfg.UseTCP)
+	start := func(name string, ncfg node.Config) (*node.Node, error) {
+		lis, err := listen(h.net, name, "")
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		srv := rpc.NewServer(mux)
-		h.servers = append(h.servers, srv)
-		go srv.Serve(lis)
-		return addr, nil
+		ncfg.Listener, ncfg.Pool = lis, h.Pool
+		return node.Start(ncfg)
 	}
 
-	h.nnSvc = hdfs.NewService(hdfs.NewNamenode(cfg.BlockSize, cfg.Strategy))
-	nnAddr, err := serve("namenode", h.nnSvc.Mux())
-	if err != nil {
+	var err error
+	if h.nn, err = start("namenode", node.Config{
+		Role:      node.Namenode,
+		BlockSize: cfg.BlockSize,
+		Strategy:  cfg.Strategy,
+	}); err != nil {
 		h.Stop()
 		return nil, err
 	}
-	h.NNAddr = nnAddr
+	h.NNAddr = h.nn.Addr
 
 	for i := 0; i < cfg.Datanodes; i++ {
-		svc := provider.NewService(store.NewMemStore())
-		addr, err := serve(fmt.Sprintf("datanode-%d", i), svc.Mux())
+		n, err := start(fmt.Sprintf("datanode-%d", i), node.Config{
+			Role:   node.Datanode,
+			NNAddr: h.NNAddr,
+			Host:   h.HostOf(i),
+		})
 		if err != nil {
 			h.Stop()
 			return nil, err
 		}
-		h.DatanodeAddrs = append(h.DatanodeAddrs, addr)
-		h.dnSvcs[addr] = svc
-		h.nnSvc.Namenode().RegisterDatanode(addr, h.HostOf(i))
+		h.DatanodeAddrs = append(h.DatanodeAddrs, n.Addr)
+		h.dns[n.Addr] = n
 	}
 	return h, nil
 }
@@ -125,17 +104,22 @@ func (h *HDFS) NewFS(host string) (*hdfs.FS, error) {
 }
 
 // Namenode exposes the namenode core (tests, layout metrics).
-func (h *HDFS) Namenode() *hdfs.Namenode { return h.nnSvc.Namenode() }
+func (h *HDFS) Namenode() *hdfs.Namenode { return h.nn.NameNode.Namenode() }
 
 // DatanodeService returns the daemon behind a datanode address.
-func (h *HDFS) DatanodeService(addr string) *provider.Service { return h.dnSvcs[addr] }
+func (h *HDFS) DatanodeService(addr string) *provider.Service {
+	if n := h.dns[addr]; n != nil {
+		return n.Provider
+	}
+	return nil
+}
 
 // Stop shuts the deployment down.
 func (h *HDFS) Stop() {
-	for _, s := range h.servers {
-		s.Close()
+	all := []*node.Node{h.nn}
+	for _, a := range h.DatanodeAddrs {
+		all = append(all, h.dns[a])
 	}
-	if h.Pool != nil {
-		h.Pool.Close()
-	}
+	stopAll(all)
+	h.Pool.Close()
 }

@@ -45,21 +45,6 @@ const (
 	fetchConcurrency = 16 // block downloads in flight per read
 )
 
-// DataPlane selects how a write's blocks reach their replicas.
-type DataPlane int
-
-const (
-	// DataPlaneChained (the default) streams each block once to the
-	// head of a replica chain; providers forward frames hop to hop, so
-	// the client's egress is B bytes per block regardless of the
-	// replication level. A failed chain falls back to fan-out for the
-	// affected block.
-	DataPlaneChained DataPlane = iota
-	// DataPlaneFanout is the legacy path: the client pushes every
-	// replica itself, costing R×B of client uplink per block.
-	DataPlaneFanout
-)
-
 // Config wires a Client to a deployment.
 type Config struct {
 	Pool   *rpc.Pool
@@ -81,14 +66,6 @@ type Config struct {
 	// enabling whenever the same ranges are read repeatedly (MapReduce
 	// input scans).
 	MetaCacheSize int
-
-	// DataPlane selects the replication transport for writes
-	// (DataPlaneChained by default).
-	DataPlane DataPlane
-
-	// FrameSize overrides the chained data plane's streaming frame
-	// payload size (provider.DefaultFrameSize if 0).
-	FrameSize int
 
 	// Overlay resolves relocated replicas: when the repair plane copies
 	// a block off a dead provider, the new location is recorded here
@@ -138,15 +115,11 @@ type Client struct {
 	prov       *provider.Client
 	meta       mdtree.Store
 	host       string
-	plane      DataPlane
-	frameSize  int
 	nonce      nonceSource
 	readRR     atomic.Uint64 // rotates the first replica tried per fetch
-	putSem     chan struct{} // global cap on concurrent per-replica puts
 	overlay    LocationOverlay
 	noFeedback bool
 
-	chainFallbacks atomic.Uint64 // blocks that fell back to fan-out
 	deadReports    atomic.Uint64 // MarkDead feedback reports sent
 	deadSuppressed atomic.Uint64 // reports dropped by the per-provider rate limit
 
@@ -160,7 +133,6 @@ type Client struct {
 	metas     map[blob.ID]blob.Meta
 	sizes     map[verKey]int64     // published (blob, version) -> size; descriptors are immutable
 	hosts     map[string]string    // provider addr -> host
-	noChain   map[string]struct{}  // heads that answered CodeChainUnsupported
 	reported  map[string]time.Time // providers recently reported dead (rate limit)
 }
 
@@ -186,25 +158,20 @@ func NewClient(cfg Config) *Client {
 		prov:       provider.NewClient(cfg.Pool),
 		meta:       meta,
 		host:       cfg.Host,
-		plane:      cfg.DataPlane,
-		frameSize:  cfg.FrameSize,
 		overlay:    cfg.Overlay,
 		noFeedback: cfg.DisableFailureFeedback,
 		tracer:     cfg.Tracer,
 		nonce:      newNonceSource(),
-		putSem:     make(chan struct{}, putConcurrency),
 		histories:  make(map[blob.ID]*blob.History),
 		metas:      make(map[blob.ID]blob.Meta),
 		sizes:      make(map[verKey]int64),
 		hosts:      make(map[string]string),
-		noChain:    make(map[string]struct{}),
 		reported:   make(map[string]time.Time),
 	}
 	if reg := cfg.Metrics; reg != nil {
 		c.reg = reg
 		c.mResolve = reg.Histogram("resolve_latency")
 		c.coll = &stream.Collector{}
-		reg.GaugeFunc("chain_fallbacks", func() int64 { return int64(c.chainFallbacks.Load()) })
 		reg.GaugeFunc("dead_reports", func() int64 { return int64(c.deadReports.Load()) })
 		reg.GaugeFunc("dead_reports_suppressed", func() int64 { return int64(c.deadSuppressed.Load()) })
 		reg.GaugeFunc("meta_cache_hits", func() int64 { return c.MetaCacheStats().Hits })
@@ -246,11 +213,6 @@ func WithTrace(ctx context.Context) (context.Context, trace.ID) {
 // StreamCollector returns the client-wide stream pipeline counters, or
 // nil for an unmetered client (stream wiring is nil-safe either way).
 func (c *Client) StreamCollector() *stream.Collector { return c.coll }
-
-// ChainFallbacks reports how many blocks this client pushed through the
-// fan-out fallback because their replica chain failed — the signal that
-// a deployment is quietly paying R×B of client egress again.
-func (c *Client) ChainFallbacks() uint64 { return c.chainFallbacks.Load() }
 
 // DeadReports reports how many MarkDead feedback reports this client
 // has sent to the provider manager (tests, observability).
@@ -430,9 +392,8 @@ func (c *Client) doWrite(ctx context.Context, id blob.ID, kind blob.WriteKind, o
 	}
 
 	// Phase 1b: store all blocks, fully parallel with other writers.
-	// One worker per block (putConcurrency in flight): the chained
-	// plane ships the block once to the head of its replica chain, the
-	// fan-out plane pushes every replica itself.
+	// One worker per block (putConcurrency in flight) ships the block
+	// once to the head of its replica chain.
 	nonce := c.nonce.next()
 	refs := make([]mdtree.BlockRef, nBlocks)
 	sem := make(chan struct{}, putConcurrency)
@@ -452,13 +413,7 @@ func (c *Client) doWrite(ctx context.Context, id blob.ID, kind blob.WriteKind, o
 		sem <- struct{}{}
 		go func(replicas []string, key blob.BlockKey, chunk []byte) {
 			defer func() { <-sem; wg.Done() }()
-			var err error
-			if c.plane == DataPlaneChained {
-				err = c.putBlockChained(ctx, replicas, key, chunk)
-			} else {
-				err = c.putBlockFanout(ctx, replicas, key, chunk)
-			}
-			if err != nil {
+			if err := c.putBlockChained(ctx, replicas, key, chunk); err != nil {
 				werrMu.Lock()
 				if werr == nil {
 					werr = err
@@ -524,70 +479,17 @@ func (c *Client) doWrite(ctx context.Context, id blob.ID, kind blob.WriteKind, o
 }
 
 // putBlockChained stores one block on all its replicas through the
-// streaming chain, falling back to direct fan-out when any chain hop
-// fails mid-write (mixed-version providers, a dead downstream hop).
-// Plain puts are idempotent whole-block writes, so replicas the chain
-// did reach are simply overwritten; the write only fails if a replica
-// is truly down.
+// streaming chain. A failed hop fails the block, and with it the whole
+// write: the paper's rule.
 func (c *Client) putBlockChained(ctx context.Context, replicas []string, key blob.BlockKey, chunk []byte) error {
 	chain := c.chainOrder(ctx, replicas)
-	c.mu.Lock()
-	_, headNoChain := c.noChain[chain[0]]
-	c.mu.Unlock()
-	if !headNoChain {
-		err := c.prov.PutChained(ctx, chain, key, chunk, c.frameSize)
-		if err == nil {
-			return nil
-		}
-		if ctx.Err() != nil {
-			// The caller's context died, not the chain: re-sending R
-			// full copies through the fan-out would be a doomed egress
-			// burst (and would misreport chain health).
-			return err
-		}
-		if rpc.CodeOf(err) == provider.CodeChainUnsupported {
-			// The head itself cannot forward (old-version or tail-only
-			// deployment) — a permanent property, so stop attempting
-			// chains headed there instead of paying a doomed round
-			// trip per block.
-			c.mu.Lock()
-			c.noChain[chain[0]] = struct{}{}
-			c.mu.Unlock()
-		}
+	if err := c.prov.PutChained(ctx, chain, key, chunk, provider.DefaultFrameSize); err != nil {
 		// An unreachable chain head is a dead provider; a coded chain
 		// failure only means some hop broke (the head answered).
 		c.reportDead(chain[0], err)
+		return fmt.Errorf("core: store block %s via %s: %w", key, chain[0], err)
 	}
-	c.chainFallbacks.Add(1)
-	return c.putBlockFanout(ctx, replicas, key, chunk)
-}
-
-// putBlockFanout pushes one block to each of its replicas in parallel —
-// the legacy data plane, and the chained plane's per-block fallback.
-// The client-wide putSem keeps the total number of in-flight puts at
-// putConcurrency no matter how many blocks fan out at once (block
-// workers hold slots of a different semaphore, so this cannot cycle).
-func (c *Client) putBlockFanout(ctx context.Context, replicas []string, key blob.BlockKey, chunk []byte) error {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var ferr error
-	for _, addr := range replicas {
-		wg.Add(1)
-		c.putSem <- struct{}{}
-		go func(addr string) {
-			defer func() { <-c.putSem; wg.Done() }()
-			if err := c.prov.Put(ctx, addr, key, chunk); err != nil {
-				c.reportDead(addr, err)
-				mu.Lock()
-				if ferr == nil {
-					ferr = fmt.Errorf("core: store block %s on %s: %w", key, addr, err)
-				}
-				mu.Unlock()
-			}
-		}(addr)
-	}
-	wg.Wait()
-	return ferr
+	return nil
 }
 
 // localReplicaIndex returns the index of the replica co-hosted with the

@@ -59,14 +59,9 @@ type miniDeploy struct {
 	provStore  []*countingStore
 }
 
-// startMini deploys vmanager + pmanager + nProv chain-capable providers
-// over an inproc network and returns the fabric.
+// startMini deploys vmanager + pmanager + nProv providers over an
+// inproc network and returns the fabric.
 func startMini(t *testing.T, nProv int, meta mdtree.Store) *miniDeploy {
-	t.Helper()
-	return startMiniWith(t, nProv, meta, true)
-}
-
-func startMiniWith(t *testing.T, nProv int, meta mdtree.Store, withForwarder bool) *miniDeploy {
 	t.Helper()
 	d := &miniDeploy{net: rpc.NewInprocNetwork(), meta: meta, clientMeta: meta}
 	serve := func(name string, mux *rpc.Mux) string {
@@ -90,58 +85,15 @@ func startMiniWith(t *testing.T, nProv int, meta mdtree.Store, withForwarder boo
 	for i := 0; i < nProv; i++ {
 		cs := &countingStore{Store: store.NewMemStore()}
 		d.provStore = append(d.provStore, cs)
-		var opts []provider.Option
-		if withForwarder {
-			opts = append(opts, provider.WithForwarder(provPool))
-		}
-		addr := serve(fmt.Sprintf("provider-%d", i), provider.NewService(cs, opts...).Mux())
+		addr := serve(fmt.Sprintf("provider-%d", i), provider.NewService(cs, provPool).Mux())
 		pmState.Register(addr, fmt.Sprintf("host-%d", i))
 	}
 	return d
 }
 
-// TestChainUnsupportedHeadIsCached: providers without a forwarder (a
-// mixed-version cluster) answer CodeChainUnsupported; the client must
-// fall back per block, remember those heads, and stop attempting
-// doomed chains while the data still reaches every replica.
-func TestChainUnsupportedHeadIsCached(t *testing.T) {
-	const blockSize = int64(4 * 1024)
-	d := startMiniWith(t, 2, mdtree.NewMemStore(), false)
-	c, _ := d.newClient(t, DataPlaneChained)
-	ctx := context.Background()
-	m, err := c.Create(ctx, blockSize, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte{3}, int(4*blockSize))
-	v, err := c.Append(ctx, m.ID, payload)
-	if err != nil {
-		t.Fatalf("write against forwarderless providers did not fall back: %v", err)
-	}
-	if n := c.ChainFallbacks(); n != 4 {
-		t.Errorf("ChainFallbacks = %d, want 4 (one per block)", n)
-	}
-	c.mu.Lock()
-	cached := len(c.noChain)
-	c.mu.Unlock()
-	if cached == 0 {
-		t.Error("no chain-unsupported heads cached after fallbacks")
-	}
-	got, err := c.Read(ctx, m.ID, v, 0, int64(len(payload)))
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("read back: %v", err)
-	}
-	// Replication still happened through the fallback.
-	for i, cs := range d.provStore {
-		if st := cs.Stats(); st.Items != 4 {
-			t.Errorf("provider %d holds %d blocks, want 4", i, st.Items)
-		}
-	}
-}
-
 // newClient returns a core client whose egress bytes accumulate in the
 // returned counter.
-func (d *miniDeploy) newClient(t *testing.T, plane DataPlane) (*Client, *atomic.Int64) {
+func (d *miniDeploy) newClient(t *testing.T) (*Client, *atomic.Int64) {
 	t.Helper()
 	sent := new(atomic.Int64)
 	pool := rpc.NewPool(func(addr string) (net.Conn, error) {
@@ -157,13 +109,12 @@ func (d *miniDeploy) newClient(t *testing.T, plane DataPlane) (*Client, *atomic.
 		VMAddr:    d.vmAddr,
 		PMAddr:    d.pmAddr,
 		MetaStore: d.clientMeta,
-		DataPlane: plane,
 	}), sent
 }
 
-// TestChainedWriteClientEgressBytes pins the tentpole claim on the real
-// client stack: a chained write of N blocks at replication R costs the
-// client ~N blocks of uplink, where the fan-out plane pays ~R×N.
+// TestChainedWriteClientEgressBytes pins the chain's claim on the real
+// client stack: a write of N blocks at replication R costs the client
+// ~N blocks of uplink, not the R×N a client-side fan-out would pay.
 func TestChainedWriteClientEgressBytes(t *testing.T) {
 	const (
 		blockSize = int64(64 * 1024)
@@ -172,42 +123,40 @@ func TestChainedWriteClientEgressBytes(t *testing.T) {
 	)
 	payloadBytes := int64(nBlocks) * blockSize
 
-	run := func(plane DataPlane) int64 {
-		d := startMini(t, 4, mdtree.NewMemStore())
-		c, sent := d.newClient(t, plane)
-		ctx := context.Background()
-		m, err := c.Create(ctx, blockSize, repl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload := bytes.Repeat([]byte{0x5a}, int(payloadBytes))
-		v, err := c.Append(ctx, m.ID, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The data must actually be replicated and readable either way.
-		got, err := c.Read(ctx, m.ID, v, 0, payloadBytes)
-		if err != nil || !bytes.Equal(got, payload) {
-			t.Fatalf("read back: %v", err)
-		}
-		return sent.Load()
+	d := startMini(t, 4, mdtree.NewMemStore())
+	c, sent := d.newClient(t)
+	ctx := context.Background()
+	m, err := c.Create(ctx, blockSize, repl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{0x5a}, int(payloadBytes))
+	v, err := c.Append(ctx, m.ID, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The data must actually be replicated and readable.
+	got, err := c.Read(ctx, m.ID, v, 0, payloadBytes)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read back: %v", err)
+	}
+	var replicas int64
+	for _, cs := range d.provStore {
+		replicas += cs.Stats().Items
+	}
+	if replicas != nBlocks*repl {
+		t.Errorf("providers hold %d block replicas, want %d", replicas, nBlocks*repl)
 	}
 
-	chained := run(DataPlaneChained)
-	fanout := run(DataPlaneFanout)
-
-	// Chained: one copy of the payload plus protocol overhead. The read
-	// and control RPCs ride the same counter, so allow generous slack —
+	// One copy of the payload plus protocol overhead. The read and
+	// control RPCs ride the same counter, so allow generous slack —
 	// generous is still far below a second payload copy.
+	egress := sent.Load()
 	slack := payloadBytes / 2
-	if chained < payloadBytes || chained > payloadBytes+slack {
-		t.Errorf("chained client egress = %d, want ~%d (+%d slack)", chained, payloadBytes, slack)
+	if egress < payloadBytes || egress > payloadBytes+slack {
+		t.Errorf("client egress = %d, want ~%d (+%d slack)", egress, payloadBytes, slack)
 	}
-	if fanout < repl*payloadBytes {
-		t.Errorf("fanout client egress = %d, want >= %d (R×payload)", fanout, repl*payloadBytes)
-	}
-	t.Logf("client egress: chained %d bytes, fanout %d bytes (payload %d, R=%d)",
-		chained, fanout, payloadBytes, repl)
+	t.Logf("client egress: %d bytes (payload %d, R=%d)", egress, payloadBytes, repl)
 }
 
 // TestChainedReplicasHoldIdenticalBlocks verifies every replica in the
@@ -215,7 +164,7 @@ func TestChainedWriteClientEgressBytes(t *testing.T) {
 func TestChainedReplicasHoldIdenticalBlocks(t *testing.T) {
 	const blockSize = int64(8 * 1024)
 	d := startMini(t, 3, mdtree.NewMemStore())
-	c, _ := d.newClient(t, DataPlaneChained)
+	c, _ := d.newClient(t)
 	ctx := context.Background()
 	m, err := c.Create(ctx, blockSize, 3)
 	if err != nil {
@@ -238,7 +187,7 @@ func TestChainedReplicasHoldIdenticalBlocks(t *testing.T) {
 func TestReadRotationSpreadsAcrossReplicas(t *testing.T) {
 	const blockSize = int64(4 * 1024)
 	d := startMini(t, 2, mdtree.NewMemStore())
-	c, _ := d.newClient(t, DataPlaneChained)
+	c, _ := d.newClient(t)
 	ctx := context.Background()
 	m, err := c.Create(ctx, blockSize, 2)
 	if err != nil {
@@ -290,7 +239,7 @@ func TestFailedWriteAbortsAssignedVersion(t *testing.T) {
 	meta := &failingMetaStore{MemStore: inner}
 	d := startMini(t, 2, inner) // the VM repairs through the healthy view
 	d.clientMeta = meta
-	c, _ := d.newClient(t, DataPlaneChained)
+	c, _ := d.newClient(t)
 	ctx := context.Background()
 	m, err := c.Create(ctx, blockSize, 1)
 	if err != nil {

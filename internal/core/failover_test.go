@@ -72,11 +72,12 @@ func TestReadFailsOverToReplica(t *testing.T) {
 	}
 }
 
-// TestWriteFallsBackWhenChainBreaks: a provider that errors mid-chain
-// (a mixed-version or misbehaving hop) must not fail the write — the
-// client falls back to per-replica fan-out, and every block still ends
-// up on its full replica set.
-func TestWriteFallsBackWhenChainBreaks(t *testing.T) {
+// TestBrokenChainFailsWriteWhole: a replica chain that breaks mid-write
+// fails the write as a whole — the paper's rule, with no client-side
+// fallback. No version is published, and the write's blocks are
+// garbage-collected from every provider, including the ones whose
+// chains did complete.
+func TestBrokenChainFailsWriteWhole(t *testing.T) {
 	const block = int64(4 * util.KB)
 	cl, err := cluster.StartBlobSeer(cluster.Config{
 		DataProviders: 3,
@@ -90,49 +91,85 @@ func TestWriteFallsBackWhenChainBreaks(t *testing.T) {
 	defer cl.Stop()
 	ctx := context.Background()
 
-	// Every provider refuses chained puts; plain puts still work.
-	for _, addr := range cl.ProviderAddrs {
-		cl.ProviderService(addr).BreakChain(true)
-	}
+	// One provider refuses chained frames: with round-robin placement
+	// some blocks' chains cross it and fail, the others complete.
+	cl.ProviderService(cl.ProviderAddrs[1]).BreakChain(true)
 
 	c := cl.NewClient("")
 	m, err := c.Create(ctx, block, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := bytes.Repeat([]byte{0x77}, int(4*block))
-	v, err := c.Append(ctx, m.ID, payload)
-	if err != nil {
-		t.Fatalf("write through broken chain did not fall back: %v", err)
+	if _, err := c.Append(ctx, m.ID, bytes.Repeat([]byte{0x77}, int(6*block))); err == nil {
+		t.Fatal("append through a broken chain succeeded")
 	}
-	if n := c.ChainFallbacks(); n != 4 {
-		t.Errorf("ChainFallbacks = %d, want 4 (one per block)", n)
+	if v, size, err := c.Latest(ctx, m.ID); err != nil || v != blob.NoVersion || size != 0 {
+		t.Errorf("after failed append: Latest = (v%d, %d bytes, %v), want no version", v, size, err)
+	}
+	for _, addr := range cl.ProviderAddrs {
+		if n := cl.ProviderService(addr).Store().Stats().Items; n != 0 {
+			t.Errorf("provider %s holds %d blocks after the failed write, want 0", addr, n)
+		}
+	}
+}
+
+// TestWriteAfterChainHealsReplicatesFully: the client keeps no memory of
+// a chain that broke. Once the provider forwards again, the same client
+// writes through it, and every block lands on its full replica set.
+func TestWriteAfterChainHealsReplicatesFully(t *testing.T) {
+	const block = int64(4 * util.KB)
+	cl, err := cluster.StartBlobSeer(cluster.Config{
+		DataProviders: 3,
+		MetaProviders: 2,
+		BlockSize:     block,
+		Replication:   2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	ctx := context.Background()
+
+	broken := cl.ProviderService(cl.ProviderAddrs[1])
+	broken.BreakChain(true)
+	c := cl.NewClient("")
+	m, err := c.Create(ctx, block, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Append(ctx, m.ID, bytes.Repeat([]byte{0x11}, int(6*block))); err == nil {
+		t.Fatal("append through a broken chain succeeded")
 	}
 
-	// The fallback must have reached the full replica set: losing any
-	// one copy of every block leaves the data readable.
+	broken.BreakChain(false)
+	payload := bytes.Repeat([]byte{0x22}, int(6*block))
+	v, err := c.Append(ctx, m.ID, payload)
+	if err != nil {
+		t.Fatalf("append after the chain healed: %v", err)
+	}
 	extents, err := mdtree.Resolve(ctx, cl.MetaStore, m, v, int64(len(payload)),
 		blob.Range{Off: 0, Len: int64(len(payload))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, e := range extents {
+	for _, e := range extents {
 		if len(e.Block.Providers) != 2 {
 			t.Fatalf("block %s has %d replicas, want 2", e.Block.Key, len(e.Block.Providers))
 		}
-		// Alternate which replica dies so both rotation positions see a
-		// failure at some block.
-		st := cl.ProviderService(e.Block.Providers[i%2]).Store()
-		if err := st.Delete(e.Block.Key.String()); err != nil {
-			t.Fatal(err)
-		}
+	}
+	stored := int64(0)
+	for _, addr := range cl.ProviderAddrs {
+		stored += cl.ProviderService(addr).Store().Stats().Items
+	}
+	if want := int64(2 * len(extents)); stored != want {
+		t.Errorf("providers hold %d blocks, want %d (the healed write's replicas only)", stored, want)
 	}
 	got, err := c.Read(ctx, m.ID, v, 0, int64(len(payload)))
 	if err != nil {
-		t.Fatalf("read after alternating replica loss: %v", err)
+		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
-		t.Fatal("failover read returned wrong bytes")
+		t.Fatal("read after the chain healed returned wrong bytes")
 	}
 }
 

@@ -76,7 +76,8 @@ type State struct {
 	// log, when non-nil, journals every mutation for crash recovery
 	// (see recovery.go). Attached by Recover; nil keeps the historical
 	// purely-in-memory behavior.
-	log *wal.Log
+	log       *wal.Log
+	walClosed bool // CloseWAL ran on an attached log: mutations now fail
 }
 
 // NewState returns an empty namespace whose new files get blobs from

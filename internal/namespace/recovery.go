@@ -27,6 +27,11 @@ const (
 // running without a write-ahead log.
 var ErrNoWAL = errors.New("namespace: no write-ahead log attached")
 
+// ErrWALClosed is returned by every mutation of a durable namespace
+// after CloseWAL: applying it unjournaled would acknowledge state that
+// a restart silently loses.
+var ErrWALClosed = errors.New("namespace: write-ahead log closed")
+
 // Recover rebuilds a namespace State from the log and attaches it, so
 // subsequent mutations are journaled. An empty log yields an empty
 // namespace. Replay is idempotent — re-applying a record that is
@@ -139,6 +144,9 @@ func (s *State) applyRecord(p []byte) error {
 // s.mu so log order matches mutation order. Namespace mutations are
 // low-rate and all client-acknowledged, so every record is fsynced.
 func (s *State) appendLocked(p []byte) error {
+	if s.walClosed {
+		return ErrWALClosed
+	}
 	if s.log == nil {
 		return nil
 	}
@@ -246,10 +254,12 @@ func (s *State) WALStatus() (wal.Status, error) {
 }
 
 // CloseWAL flushes and closes the attached log (graceful shutdown).
+// From then on every mutation fails with ErrWALClosed.
 func (s *State) CloseWAL() error {
 	s.mu.Lock()
 	log := s.log
 	s.log = nil
+	s.walClosed = s.walClosed || log != nil
 	s.mu.Unlock()
 	if log == nil {
 		return nil

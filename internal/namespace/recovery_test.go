@@ -2,6 +2,7 @@ package namespace
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"blobseer/internal/blob"
@@ -161,5 +162,21 @@ func TestNamespaceRecoverIdempotentSecondReplay(t *testing.T) {
 	}
 	if got := r.Orphaned(); len(got) != 0 {
 		t.Errorf("double replay fabricated orphans: %v", got)
+	}
+}
+
+// TestNamespaceMutationAfterCloseWALFails pins the shutdown guard: once
+// a durable namespace's log is closed, a create that still reaches the
+// state must fail rather than be acknowledged without being journaled.
+func TestNamespaceMutationAfterCloseWALFails(t *testing.T) {
+	s := openNS(t, t.TempDir(), &seqCreator{})
+	if err := s.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateFile(context.Background(), "/late", 4096, 1, false); !errors.Is(err, ErrWALClosed) {
+		t.Errorf("CreateFile after CloseWAL = %v, want ErrWALClosed", err)
+	}
+	if err := s.Mkdirs("/late-dir"); !errors.Is(err, ErrWALClosed) {
+		t.Errorf("Mkdirs after CloseWAL = %v, want ErrWALClosed", err)
 	}
 }

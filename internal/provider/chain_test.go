@@ -12,8 +12,8 @@ import (
 	"blobseer/internal/wire"
 )
 
-// chainCluster starts n providers on one inproc network, all equipped
-// to forward chain frames to each other.
+// chainCluster starts n providers on one inproc network, forwarding
+// chain frames to each other.
 func chainCluster(t *testing.T, n int) (*Client, []string, []*Service) {
 	t.Helper()
 	net := rpc.NewInprocNetwork()
@@ -23,7 +23,7 @@ func chainCluster(t *testing.T, n int) (*Client, []string, []*Service) {
 	svcs := make([]*Service, n)
 	for i := 0; i < n; i++ {
 		addrs[i] = string(rune('a'+i)) + "-provider"
-		svcs[i] = NewService(store.NewMemStore(), WithForwarder(pool))
+		svcs[i] = NewService(store.NewMemStore(), pool)
 		lis, err := net.Listen(addrs[i])
 		if err != nil {
 			t.Fatal(err)
@@ -61,12 +61,12 @@ func TestPutChainedReachesAllReplicas(t *testing.T) {
 }
 
 func TestPutChainedSingleReplicaNeedsNoForwarder(t *testing.T) {
-	// A chain of one (replication 1) is a plain streaming put; even a
-	// provider with no forwarder must accept it.
+	// A chain of one (replication 1) is a plain streaming put: the
+	// provider stores it without forwarding anything.
 	net := rpc.NewInprocNetwork()
 	pool := rpc.NewPool(net.Dial)
 	defer pool.Close()
-	svc := NewService(store.NewMemStore())
+	svc := NewService(store.NewMemStore(), pool)
 	lis, err := net.Listen("solo")
 	if err != nil {
 		t.Fatal(err)
@@ -127,32 +127,6 @@ func TestPutChainedMidChainFailurePropagates(t *testing.T) {
 			t.Fatalf("%d dangling uploads after failed chain", n)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestPutChainedRefusedWithoutForwarder(t *testing.T) {
-	net := rpc.NewInprocNetwork()
-	pool := rpc.NewPool(net.Dial)
-	defer pool.Close()
-	svc := NewService(store.NewMemStore()) // no forwarder
-	lis, err := net.Listen("tailless")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := rpc.NewServer(svc.Mux())
-	go srv.Serve(lis)
-	defer srv.Close()
-
-	c := NewClient(pool)
-	err = c.PutChained(context.Background(), []string{"tailless", "downstream"},
-		blob.BlockKey{Blob: 4, Nonce: 1}, []byte("x"), 0)
-	if err == nil {
-		t.Fatal("chained put with downstream replicas accepted by forwarderless provider")
-	}
-	// The refusal is CodeChainUnsupported — a permanent property of the
-	// provider that clients cache to stop attempting chains there.
-	if rpc.CodeOf(err) != CodeChainUnsupported {
-		t.Errorf("error code = %d, want CodeChainUnsupported", rpc.CodeOf(err))
 	}
 }
 
@@ -254,7 +228,7 @@ func chunkOf(data []byte, off, end int) wire.Chunk {
 func TestChainFrameRejectsAbsurdTotal(t *testing.T) {
 	// A tiny frame claiming a huge Total must be refused before any
 	// allocation, mirroring wire.MaxFrameSize's corrupt-peer bound.
-	svc := NewService(store.NewMemStore())
+	svc := NewService(store.NewMemStore(), nil)
 	for _, total := range []int64{1<<40 + 1, int64(wire.MaxFrameSize) + 1} {
 		b := wire.NewBuffer(64)
 		encodeKey(b, blob.BlockKey{Blob: 7, Nonce: 1})
@@ -266,46 +240,5 @@ func TestChainFrameRejectsAbsurdTotal(t *testing.T) {
 	}
 	if st := svc.Store().Stats(); st.Items != 0 || st.Bytes != 0 {
 		t.Errorf("rejected frames left state: %+v", st)
-	}
-}
-
-func TestChainSplitsAroundTailOnlyHop(t *testing.T) {
-	// Mixed-version deployment: the middle replica has no forwarder.
-	// The upstream hop must discover that, serve it chain-less, and
-	// drive the rest of the chain itself — the write still succeeds
-	// with every replica holding the block, no client fallback needed.
-	net := rpc.NewInprocNetwork()
-	pool := rpc.NewPool(net.Dial)
-	t.Cleanup(pool.Close)
-	names := []string{"head", "tailonly", "tail"}
-	svcs := make([]*Service, 3)
-	for i, name := range names {
-		if name == "tailonly" {
-			svcs[i] = NewService(store.NewMemStore()) // no forwarder
-		} else {
-			svcs[i] = NewService(store.NewMemStore(), WithForwarder(pool))
-		}
-		lis, err := net.Listen(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := rpc.NewServer(svcs[i].Mux())
-		go srv.Serve(lis)
-		t.Cleanup(func() { srv.Close() })
-	}
-	c := NewClient(pool)
-	ctx := context.Background()
-	data := bytes.Repeat([]byte{0x42}, 6000)
-	for seq := uint32(0); seq < 2; seq++ { // second block uses the cached split
-		key := blob.BlockKey{Blob: 8, Nonce: 0xf00d, Seq: seq}
-		if err := c.PutChained(ctx, names, key, data, 1024); err != nil {
-			t.Fatalf("block %d: %v", seq, err)
-		}
-		for i, svc := range svcs {
-			got, err := svc.Store().Get(key.String())
-			if err != nil || !bytes.Equal(got, data) {
-				t.Fatalf("block %d replica %s: %d bytes, %v", seq, names[i], len(got), err)
-			}
-		}
 	}
 }

@@ -26,12 +26,12 @@
 //	5 mDeleteBlock  request:  key                                response: empty
 //	6 mStat         request:  empty                              response: items i64 | bytes i64 | ntiers u32 |
 //	                                                                       (name string | items i64 | bytes i64)*
-//	7 mPutChained   request:  key | chain stringslice |          response: empty (or status CodeChainFail /
-//	                          off i64 | total i64 |                        CodeChainUnsupported)
+//	7 mPutChained   request:  key | chain stringslice |          response: empty (or status CodeChainFail)
+//	                          off i64 | total i64 |
 //	                          data bytes32
 //	8 mBlockReport  request:  prefix string                      response: count u32 | key*
 //	9 mReplicate    request:  key | targets stringslice          response: empty (or status CodeNotFound /
-//	                                                                       CodeChainFail / CodeChainUnsupported)
+//	                                                                       CodeChainFail)
 //
 // mBlockReport is the repair plane's inventory primitive: it enumerates
 // the block keys the provider's store currently holds under prefix
@@ -49,8 +49,8 @@
 // and a hop commits its block only once every byte is both locally
 // written and acked by the whole downstream chain — a failed chain
 // never publishes the block anywhere upstream of the failure. Any error
-// surfaces to the client as CodeChainFail, the signal to fall back to
-// client-side fan-out.
+// surfaces to the client as CodeChainFail, and the write fails as a
+// whole.
 package provider
 
 import (
@@ -101,15 +101,8 @@ func MethodName(m uint16) string {
 const CodeNotFound uint16 = 10
 
 // CodeChainFail is the RPC status for a chained put that failed at this
-// hop or anywhere downstream; clients fall back to direct fan-out.
+// hop or anywhere downstream.
 const CodeChainFail uint16 = 11
-
-// CodeChainUnsupported is the RPC status a provider returns when it has
-// no forwarder for the downstream replicas named by a chained put (an
-// old-version or tail-only deployment). Unlike CodeChainFail it is a
-// permanent property of the provider, so clients cache it and stop
-// attempting chains headed there.
-const CodeChainUnsupported uint16 = 12
 
 // ErrBlockNotFound is returned when a requested block is absent.
 var ErrBlockNotFound = rpc.CodedError(CodeNotFound, "provider: block not found")
@@ -131,7 +124,7 @@ const (
 // Service is the provider-side implementation.
 type Service struct {
 	store store.Store
-	fwd   *Client // forwards chain frames downstream; nil = tail-only
+	fwd   *Client // forwards chain frames downstream
 
 	// Metrics are resolved once at construction so the data path never
 	// touches the registry map.
@@ -161,10 +154,6 @@ type Service struct {
 	// sibling frames of a doomed chain are rejected outright instead of
 	// re-creating a partial upload that pins a buffer until the reaper.
 	failed map[string]time.Time
-	// noChainDown remembers downstream providers that answered
-	// CodeChainUnsupported (tail-only deployments): frames for them are
-	// sent chain-less while the rest of the chain is driven from here.
-	noChainDown map[string]struct{}
 }
 
 // upload tracks one in-flight chained block transfer.
@@ -186,28 +175,15 @@ func (u *upload) idle() time.Duration {
 	return time.Since(time.Unix(0, u.lastActive.Load()))
 }
 
-// Option configures a Service.
-type Option func(*Service)
-
-// WithForwarder equips the provider to forward chain frames to
-// downstream replicas through pool. Without it the provider still
-// accepts chained puts as the tail of a chain (empty downstream), but
-// refuses any with replicas left to reach.
-func WithForwarder(pool *rpc.Pool) Option {
-	return func(s *Service) { s.fwd = NewClient(pool) }
-}
-
-// NewService returns a provider service over st.
-func NewService(st store.Store, opts ...Option) *Service {
+// NewService returns a provider service over st that forwards chain
+// frames (and repair pushes) to downstream replicas through pool.
+func NewService(st store.Store, pool *rpc.Pool) *Service {
 	s := &Service{
-		store:       st,
-		uploads:     make(map[string]*upload),
-		deleted:     make(map[string]time.Time),
-		failed:      make(map[string]time.Time),
-		noChainDown: make(map[string]struct{}),
-	}
-	for _, o := range opts {
-		o(s)
+		store:   st,
+		fwd:     NewClient(pool),
+		uploads: make(map[string]*upload),
+		deleted: make(map[string]time.Time),
+		failed:  make(map[string]time.Time),
 	}
 	s.reg = metrics.NewRegistry()
 	s.mBytesIn = s.reg.Counter("bytes_in")
@@ -242,7 +218,7 @@ func NewService(st store.Store, opts ...Option) *Service {
 func (s *Service) Metrics() *metrics.Registry { return s.reg }
 
 // BreakChain makes every chained put fail at this provider (failure
-// injection for tests: forces clients onto the fan-out fallback).
+// injection for tests: every replicated write through it fails whole).
 func (s *Service) BreakChain(broken bool) { s.chainBroken.Store(broken) }
 
 // Mux returns the RPC dispatch table for the service.
@@ -349,11 +325,6 @@ func (s *Service) handlePutChained(ctx context.Context, payload []byte) ([]byte,
 		return nil, rpc.CodedError(CodeChainFail,
 			fmt.Sprintf("provider: bad chain frame for %s: off %d len %d total %d", key, ck.Off, len(ck.Data), ck.Total))
 	}
-	if len(chain) > 0 && s.fwd == nil {
-		// No partial upload to abort: frames of one block all carry the
-		// same chain, so every one of them is rejected right here.
-		return nil, rpc.CodedError(CodeChainUnsupported, "provider: no forwarder for downstream chain")
-	}
 	if s.writeDoomed(key) {
 		return nil, rpc.CodedError(CodeChainFail,
 			fmt.Sprintf("provider: write of %s was garbage-collected or failed", key))
@@ -372,7 +343,7 @@ func (s *Service) handlePutChained(ctx context.Context, payload []byte) ([]byte,
 			ctx, cancel := context.WithTimeout(ctx, chainHopTimeout)
 			defer cancel()
 			t0 := time.Now()
-			fwdErr = s.forwardFrame(ctx, chain, key, ck)
+			fwdErr = s.fwd.putChainFrame(ctx, chain[0], key, chain[1:], ck)
 			s.mHopLatency.ObserveSince(t0)
 		}()
 	} else {
@@ -400,41 +371,6 @@ func (s *Service) handlePutChained(ctx context.Context, payload []byte) ([]byte,
 		return nil, rpc.CodedError(CodeChainFail, fmt.Sprintf("provider: chained put %s: %v", key, err))
 	}
 	return nil, nil
-}
-
-// forwardFrame ships one frame to every replica still downstream:
-// normally a single chained send to chain[0], which keeps forwarding.
-// A downstream provider that answers CodeChainUnsupported (tail-only,
-// mixed-version deployment) is remembered and from then on served its
-// frames chain-less, while this hop drives the rest of the chain
-// itself — the replication traffic stays provider-to-provider instead
-// of punting the whole block back to the client's fan-out.
-func (s *Service) forwardFrame(ctx context.Context, chain []string, key blob.BlockKey, ck wire.Chunk) error {
-	next, rest := chain[0], chain[1:]
-	if len(rest) == 0 {
-		return s.fwd.putChainFrame(ctx, next, key, nil, ck)
-	}
-	s.mu.Lock()
-	_, split := s.noChainDown[next]
-	s.mu.Unlock()
-	if !split {
-		err := s.fwd.putChainFrame(ctx, next, key, rest, ck)
-		if err == nil || rpc.CodeOf(err) != CodeChainUnsupported {
-			return err
-		}
-		s.mu.Lock()
-		s.noChainDown[next] = struct{}{}
-		s.mu.Unlock()
-	}
-	// next takes the frame as a tail; the remaining replicas chain on
-	// from this hop, concurrently.
-	errc := make(chan error, 1)
-	go func() { errc <- s.fwd.putChainFrame(ctx, next, key, nil, ck) }()
-	err := s.forwardFrame(ctx, rest, key, ck)
-	if terr := <-errc; err == nil {
-		err = terr
-	}
-	return err
 }
 
 // applyFrame writes one frame into the block's in-flight upload,
@@ -688,9 +624,6 @@ func (s *Service) handleReplicate(ctx context.Context, payload []byte) ([]byte, 
 	if len(targets) == 0 {
 		return nil, nil
 	}
-	if s.fwd == nil {
-		return nil, rpc.CodedError(CodeChainUnsupported, "provider: no forwarder for replication push")
-	}
 	data, err := s.store.Get(key.String())
 	if err == store.ErrNotFound {
 		return nil, ErrBlockNotFound
@@ -704,7 +637,7 @@ func (s *Service) handleReplicate(ctx context.Context, payload []byte) ([]byte, 
 	ctx, cancel := context.WithTimeout(ctx, chainHopTimeout)
 	defer cancel()
 	if err := s.fwd.PutChained(ctx, targets, key, data, 0); err != nil {
-		if rpc.CodeOf(err) == CodeChainFail || rpc.CodeOf(err) == CodeChainUnsupported {
+		if rpc.CodeOf(err) == CodeChainFail {
 			return nil, err
 		}
 		return nil, rpc.CodedError(CodeChainFail, fmt.Sprintf("provider: replicate %s: %v", key, err))
@@ -753,7 +686,7 @@ const chainWindow = 4
 // addrs[0], which persists them while forwarding to addrs[1:]. The call
 // returns once every frame is acked by the whole chain — i.e. all
 // replicas hold the block. Any chain failure surfaces as an error with
-// code CodeChainFail; callers fall back to per-replica Put.
+// code CodeChainFail.
 func (c *Client) PutChained(ctx context.Context, addrs []string, key blob.BlockKey, data []byte, frameSize int) error {
 	if len(addrs) == 0 {
 		return errors.New("provider: empty replica chain")

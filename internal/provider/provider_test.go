@@ -13,7 +13,9 @@ import (
 func startProvider(t *testing.T) (*Client, string, *Service) {
 	t.Helper()
 	n := rpc.NewInprocNetwork()
-	svc := NewService(store.NewMemStore())
+	pool := rpc.NewPool(n.Dial)
+	t.Cleanup(pool.Close)
+	svc := NewService(store.NewMemStore(), pool)
 	lis, err := n.Listen("provider-1")
 	if err != nil {
 		t.Fatal(err)
@@ -21,8 +23,6 @@ func startProvider(t *testing.T) (*Client, string, *Service) {
 	srv := rpc.NewServer(svc.Mux())
 	go srv.Serve(lis)
 	t.Cleanup(func() { srv.Close() })
-	pool := rpc.NewPool(n.Dial)
-	t.Cleanup(pool.Close)
 	return NewClient(pool), "provider-1", svc
 }
 

@@ -24,7 +24,7 @@ func startProviders(t *testing.T, n int) (*Client, []string, []*Service) {
 	svcs := make([]*Service, n)
 	for i := 0; i < n; i++ {
 		addrs[i] = fmt.Sprintf("prov-%d", i)
-		svcs[i] = NewService(store.NewMemStore(), WithForwarder(pool))
+		svcs[i] = NewService(store.NewMemStore(), pool)
 		lis, err := net.Listen(addrs[i])
 		if err != nil {
 			t.Fatal(err)
@@ -105,20 +105,5 @@ func TestReplicatePushesOverChain(t *testing.T) {
 	}
 	if rpc.TransportFailure(err) {
 		t.Error("not-found misclassified as transport failure")
-	}
-}
-
-func TestReplicateUnsupportedWithoutForwarder(t *testing.T) {
-	// startProvider's service has no forwarder: a tail-only deployment
-	// cannot act as a replication source.
-	c, addr, _ := startProvider(t)
-	ctx := context.Background()
-	key := blob.BlockKey{Blob: 1, Nonce: 1, Seq: 0}
-	if err := c.Put(ctx, addr, key, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	err := c.Replicate(ctx, addr, key, []string{"elsewhere"})
-	if rpc.CodeOf(err) != CodeChainUnsupported {
-		t.Errorf("Replicate without forwarder = %v, want CodeChainUnsupported", err)
 	}
 }

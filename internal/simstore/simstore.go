@@ -131,11 +131,12 @@ type BSFS struct {
 	Net *simnet.Net
 	Tun Tuning
 
-	// FanoutWrites selects the legacy data plane: the client pushes
-	// every replica itself (R×B of client egress per block). The
-	// default is the chained plane — one client flow to the chain head
-	// plus one provider-to-provider flow per further hop — matching the
-	// real client's core.DataPlaneChained.
+	// FanoutWrites models a client-side fan-out data plane: the client
+	// pushes every replica itself (R×B of client egress per block), the
+	// comparison arm of AblationReplication. The default is the chained
+	// plane — one client flow to the chain head plus one
+	// provider-to-provider flow per further hop — the real client's only
+	// write path.
 	FanoutWrites bool
 
 	VM    *vmanager.State

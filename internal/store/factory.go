@@ -68,7 +68,12 @@ func Open(rawURL string) (Store, error) {
 // like "file:///var/blobseer/provider-{n}" (or a tiered URL nesting
 // it) configures a whole deployment without colliding directories.
 func OpenMember(rawURL string, i int) (Store, error) {
-	return Open(strings.ReplaceAll(rawURL, "{n}", strconv.Itoa(i)))
+	return Open(MemberURL(rawURL, i))
+}
+
+// MemberURL expands every "{n}" in a store URL template to member i.
+func MemberURL(rawURL string, i int) string {
+	return strings.ReplaceAll(rawURL, "{n}", strconv.Itoa(i))
 }
 
 func init() {

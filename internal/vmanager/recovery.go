@@ -211,8 +211,11 @@ func (s *State) applyRecord(p []byte) error {
 // writer, which the janitor already cleans up.
 func (s *State) appendStriped(force bool, p []byte) error {
 	s.logMu.Lock()
-	log := s.log
+	log, closed := s.log, s.walClosed
 	s.logMu.Unlock()
+	if closed {
+		return ErrWALClosed
+	}
 	if log == nil {
 		return nil
 	}
@@ -314,6 +317,11 @@ func (s *State) loadSnapshot(p []byte) error {
 // running without a write-ahead log.
 var ErrNoWAL = errors.New("vmanager: no write-ahead log attached")
 
+// ErrWALClosed is returned by every mutation of a durable manager after
+// CloseWAL: applying it unjournaled would acknowledge state that a
+// restart silently loses.
+var ErrWALClosed = errors.New("vmanager: write-ahead log closed")
+
 // SnapshotNow serializes the current state as a WAL snapshot and
 // compacts the log behind it. Every stripe lock (and the minting lock)
 // is held across the snapshot write so the saved state is exactly
@@ -346,10 +354,12 @@ func (s *State) WALStatus() (wal.Status, error) {
 }
 
 // CloseWAL flushes and closes the attached log (graceful shutdown).
+// From then on every mutation fails with ErrWALClosed.
 func (s *State) CloseWAL() error {
 	s.logMu.Lock()
 	log := s.log
 	s.log = nil
+	s.walClosed = s.walClosed || log != nil
 	s.logMu.Unlock()
 	if log == nil {
 		return nil

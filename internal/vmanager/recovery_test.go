@@ -1,6 +1,7 @@
 package vmanager
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -238,5 +239,36 @@ func TestNoWALStateUnchanged(t *testing.T) {
 	}
 	if err := s.SnapshotNow(); err != ErrNoWAL {
 		t.Errorf("SnapshotNow without log = %v, want ErrNoWAL", err)
+	}
+}
+
+// TestMutationAfterCloseWALFails pins the shutdown guard: once a
+// durable manager's log is closed, a mutation that still reaches the
+// state must fail rather than be acknowledged without being journaled.
+func TestMutationAfterCloseWALFails(t *testing.T) {
+	s := openState(t, t.TempDir())
+	m, err := s.CreateBlob(4096, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.AssignVersion(m.ID, blob.KindAppend, 0, 4096, 0, blob.NoVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := s.AssignVersion(m.ID, blob.KindAppend, 0, 4096, 0, blob.NoVersion); !errors.Is(err, ErrWALClosed) {
+		t.Errorf("AssignVersion after CloseWAL = %v, want ErrWALClosed", err)
+	}
+	if err := s.Commit(m.ID, a.Version); !errors.Is(err, ErrWALClosed) {
+		t.Errorf("Commit after CloseWAL = %v, want ErrWALClosed", err)
+	}
+	if _, err := s.CreateBlob(4096, 1); !errors.Is(err, ErrWALClosed) {
+		t.Errorf("CreateBlob after CloseWAL = %v, want ErrWALClosed", err)
+	}
+	if v, _, err := s.Latest(m.ID); err != nil || v != blob.NoVersion {
+		t.Errorf("Latest after refused commit = v%d, %v; want nothing published", v, err)
 	}
 }

@@ -137,8 +137,9 @@ type State struct {
 	// log, when non-nil, journals every mutation for crash recovery
 	// (see recovery.go). Attached by Recover; nil keeps the historical
 	// purely-in-memory behavior (simulator, most tests).
-	logMu sync.Mutex
-	log   *wal.Log
+	logMu     sync.Mutex
+	log       *wal.Log
+	walClosed bool // CloseWAL ran on an attached log: mutations now fail
 }
 
 type blobState struct {
