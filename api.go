@@ -64,8 +64,9 @@ type (
 	ReaderOptions = core.ReaderOptions
 	// WriterOptions tunes Blob.NewWriter streaming (write-behind).
 	WriterOptions = core.WriterOptions
-	// StreamReader is the sequential snapshot reader of the shared
-	// streaming engine (what Snapshot.NewReader and BSFS Open return).
+	// StreamReader is the snapshot reader of the shared streaming
+	// engine (what Snapshot.NewReader and BSFS Open return): readahead
+	// for sequential streams, ranged fetches for everything else.
 	StreamReader = stream.Reader
 	// StreamWriter is the write-behind blob writer of the shared
 	// streaming engine (what Blob.NewWriter and BSFS Create return).

@@ -42,8 +42,10 @@ type Config struct {
 	Replication int
 	// ReadaheadBlocks is the reader's asynchronous prefetch window: up
 	// to this many blocks are fetched by background goroutines ahead of
-	// a sequential stream. 0 (or negative) keeps reads fully
-	// synchronous — one block fetched at a time, on demand.
+	// a sequential stream (reads from offset 0 or continuing the
+	// previous read). 0 (or negative) keeps reads fully synchronous —
+	// one block fetched at a time, on demand. Non-sequential reads
+	// never prefetch: they fetch exactly their range.
 	ReadaheadBlocks int
 	// WriteBehindDepth is the writer's write-behind window: up to this
 	// many full-block commits proceed in the background while Write
@@ -51,8 +53,9 @@ type Config struct {
 	// each block commit completes before Write returns.
 	WriteBehindDepth int
 	// DisableCache turns off block caching, prefetch and write-behind
-	// entirely (ablation benches; reads and writes then hit BlobSeer at
-	// request granularity).
+	// entirely (ablation benches): every read is non-sequential and
+	// fetches exactly its range, and writes hit BlobSeer at request
+	// granularity.
 	DisableCache bool
 }
 

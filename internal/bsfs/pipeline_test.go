@@ -415,3 +415,42 @@ func TestSeekWithinWarmWindowKeepsPipeline(t *testing.T) {
 		t.Fatal("intra-block seek read mismatch")
 	}
 }
+
+// TestHadoopSplitReadUsesReadahead pins the Map-input pattern that
+// whole-block prefetch exists for: a task seeks to its split start in
+// the middle of a block and reads 4 KB at a time to the split end.
+// Only the first read is ranged; the continuation streams through the
+// readahead window.
+func TestHadoopSplitReadUsesReadahead(t *testing.T) {
+	f, _ := startPipelinedFS(t, 2, 0)
+	ctx := context.Background()
+	data := pattern('H', 12*B)
+	writeFile(t, f, "/pipe/split", data)
+
+	r, err := f.Open(ctx, "/pipe/split")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	const start, end = 2*B + B/3, 9*B + 123
+	if _, err := r.Seek(start, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 0, end-start)
+	buf := make([]byte, 4096)
+	for pos := int64(start); pos < end; {
+		n, err := r.Read(buf[:min(int64(len(buf)), end-pos)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, buf[:n]...)
+		pos += int64(n)
+	}
+	if !bytes.Equal(got, data[start:end]) {
+		t.Fatal("split bytes mismatch")
+	}
+	st := r.(bsfs.PipelinedReader).ReadStats()
+	if st.Prefetched == 0 || st.PrefetchHits == 0 {
+		t.Errorf("split read should use the readahead window, stats = %+v", st)
+	}
+}

@@ -184,6 +184,8 @@ func NewClient(cfg Config) *Client {
 		reg.GaugeFunc("prefetched", c.coll.Prefetched)
 		reg.GaugeFunc("prefetch_hits", c.coll.PrefetchHits)
 		reg.GaugeFunc("prefetch_canceled", c.coll.Canceled)
+		reg.GaugeFunc("read_bytes_fetched", c.coll.BytesFetched)
+		reg.GaugeFunc("read_bytes_returned", c.coll.BytesReturned)
 		reg.GaugeFunc("write_behind_depth", c.coll.WriteBehindDepth)
 		reg.GaugeFunc("write_behind_commits", c.coll.WriteBehindCommits)
 		reg.GaugeFunc("write_behind_bytes", c.coll.WriteBehindBytes)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/mdtree"
@@ -61,47 +62,102 @@ func (c *Client) GC(ctx context.Context, id blob.ID, keep blob.Version) (GCStats
 	}
 	c.mu.Unlock()
 	st := GCStats{From: from, To: keep}
-	for k := from; k < keep; k++ {
+	var dead []gcNode
+	var planErr error
+	for k := from; k < keep && planErr == nil; k++ {
 		d, ok := hist.Desc(k)
 		if !ok {
-			return st, fmt.Errorf("core: gc: history missing version %d", k)
+			planErr = fmt.Errorf("core: gc: history missing version %d", k)
+			break
 		}
-		dead, err := mdtree.DeadNodes(m, hist, k, keep)
+		nodes, err := mdtree.DeadNodes(m, hist, k, keep)
 		if err != nil {
-			return st, fmt.Errorf("core: gc of version %d: %w", k, err)
+			planErr = fmt.Errorf("core: gc of version %d: %w", k, err)
+			break
 		}
-		for _, dn := range dead {
-			if dn.Leaf && !d.Aborted {
-				// Free the data block first: once the leaf is gone there
-				// is no other record of where the payload lives.
-				node, err := c.meta.Get(ctx, dn.ID)
-				if err == nil {
-					for _, addr := range node.Block.Providers {
-						if err := c.prov.Delete(ctx, addr, node.Block.Key); err == nil {
-							st.BlocksFreed++
-						}
-					}
-					// Repair copies and their overlay record go with the
-					// block: a dangling relocation entry would point
-					// readers at storage the providers already reclaimed.
-					if c.overlay != nil {
-						extras, oerr := c.overlay.Get(ctx, node.Block.Key)
-						if oerr == nil {
-							for _, addr := range extras {
-								if err := c.prov.Delete(ctx, addr, node.Block.Key); err == nil {
-									st.BlocksFreed++
-								}
-							}
-							_ = c.overlay.Remove(ctx, node.Block.Key)
-						}
-					}
-				}
-			}
-			if err := deleter.Delete(ctx, dn.ID); err != nil {
-				return st, fmt.Errorf("core: gc: delete node %s: %w", dn.ID.Key(), err)
-			}
-			st.NodesFreed++
+		for _, dn := range nodes {
+			dead = append(dead, gcNode{id: dn.ID, freeData: dn.Leaf && !d.Aborted})
 		}
 	}
-	return st, nil
+	// Dead nodes are independent of one another, so they are swept
+	// gcSweepWidth at a time: one at a time, a pass costs several
+	// round trips per node and falls behind a busy appender, leaving
+	// dead blocks in provider memory.
+	var mu sync.Mutex
+	var sweepErr error
+	sem := make(chan struct{}, gcSweepWidth)
+	var wg sync.WaitGroup
+	for _, n := range dead {
+		mu.Lock()
+		failed := sweepErr != nil
+		mu.Unlock()
+		if failed {
+			break
+		}
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			blocks, err := c.sweepNode(ctx, deleter, n)
+			mu.Lock()
+			defer mu.Unlock()
+			st.BlocksFreed += blocks
+			if err == nil {
+				st.NodesFreed++
+			} else if sweepErr == nil {
+				sweepErr = err
+			}
+		}()
+	}
+	wg.Wait()
+	if sweepErr != nil {
+		return st, sweepErr
+	}
+	return st, planErr
+}
+
+// gcSweepWidth bounds the dead nodes one GC call sweeps concurrently.
+const gcSweepWidth = 16
+
+// gcNode is one dead metadata node; freeData marks a leaf whose data
+// block goes with it.
+type gcNode struct {
+	id       mdtree.NodeID
+	freeData bool
+}
+
+// sweepNode deletes one dead node, and first its data block replicas
+// if it owns one, returning how many replicas it freed.
+func (c *Client) sweepNode(ctx context.Context, deleter mdtree.Deleter, n gcNode) (int, error) {
+	freed := 0
+	if n.freeData {
+		// Free the data block first: once the leaf is gone there is no
+		// other record of where the payload lives.
+		node, err := c.meta.Get(ctx, n.id)
+		if err == nil {
+			for _, addr := range node.Block.Providers {
+				if err := c.prov.Delete(ctx, addr, node.Block.Key); err == nil {
+					freed++
+				}
+			}
+			// Repair copies and their overlay record go with the
+			// block: a dangling relocation entry would point readers
+			// at storage the providers already reclaimed.
+			if c.overlay != nil {
+				extras, oerr := c.overlay.Get(ctx, node.Block.Key)
+				if oerr == nil {
+					for _, addr := range extras {
+						if err := c.prov.Delete(ctx, addr, node.Block.Key); err == nil {
+							freed++
+						}
+					}
+					_ = c.overlay.Remove(ctx, node.Block.Key)
+				}
+			}
+		}
+	}
+	if err := deleter.Delete(ctx, n.id); err != nil {
+		return freed, fmt.Errorf("core: gc: delete node %s: %w", n.id.Key(), err)
+	}
+	return freed, nil
 }

@@ -251,21 +251,21 @@ func (s *Snapshot) Locations(ctx context.Context, off, length int64) ([]Location
 	return s.b.c.locationsAt(ctx, s.b.meta, s.version, s.size, off, length)
 }
 
-// ReaderOptions configures a sequential streaming reader over a
-// Snapshot.
+// ReaderOptions configures a streaming reader over a Snapshot.
 type ReaderOptions struct {
-	// Readahead is the asynchronous prefetch window, in blocks. <= 0
-	// keeps reads fully synchronous.
+	// Readahead is the asynchronous prefetch window of sequential
+	// streams, in blocks. <= 0 keeps reads fully synchronous.
 	Readahead int
-	// NoCache disables block caching and prefetch entirely (ablation:
-	// reads hit BlobSeer at request granularity).
+	// NoCache treats every read as non-sequential: no block cache, no
+	// prefetch (ablation: reads hit BlobSeer at request granularity).
 	NoCache bool
 }
 
-// NewReader returns a sequential io.ReadSeekCloser over the snapshot
-// with whole-block caching and bounded asynchronous readahead — the
+// NewReader returns an io.ReadSeekCloser over the snapshot — the
 // engine BSFS file readers run on, available to raw-blob applications
-// directly.
+// directly. Sequential streams get whole-block caching and bounded
+// asynchronous readahead; any other read fetches exactly its range,
+// straight into the caller's buffer (see stream.Reader).
 func (s *Snapshot) NewReader(ctx context.Context, o ReaderOptions) *stream.Reader {
 	return stream.NewReader(ctx, stream.ReaderConfig{
 		Size:      s.size,
@@ -273,20 +273,20 @@ func (s *Snapshot) NewReader(ctx context.Context, o ReaderOptions) *stream.Reade
 		Readahead: o.Readahead,
 		NoCache:   o.NoCache,
 		Collector: s.b.c.coll,
-		Fetch: func(ctx context.Context, off, length int64) (_ []byte, err error) {
-			// One span per stream-engine block fetch, so demand reads
-			// and readahead prefetches both show up in the trace.
+		ReadAt: func(ctx context.Context, p []byte, off int64) (err error) {
+			// One span per stream-engine fetch, ranged or whole-block,
+			// so demand reads and readahead prefetches both show up in
+			// the trace.
 			ctx, sp := s.b.c.tracer.Start(ctx, "stream.fetch")
 			defer func() { sp.Finish(err) }()
-			buf := make([]byte, length)
-			n, err := s.ReadAtContext(ctx, buf, off)
+			n, err := s.ReadAtContext(ctx, p, off)
 			if err != nil && err != io.EOF {
-				return nil, err
+				return err
 			}
-			if int64(n) != length {
-				return nil, fmt.Errorf("core: snapshot fetch [%d,+%d): short read of %d bytes", off, length, n)
+			if n != len(p) {
+				return fmt.Errorf("core: snapshot fetch [%d,+%d): short read of %d bytes", off, len(p), n)
 			}
-			return buf, nil
+			return nil
 		},
 	})
 }

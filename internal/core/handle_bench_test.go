@@ -3,22 +3,24 @@ package core_test
 import (
 	"context"
 	"io"
+	"math/rand/v2"
 	"testing"
 
 	"blobseer/internal/cluster"
 	"blobseer/internal/core"
 )
 
-// benchSnapshot deploys a small cluster, publishes an nBlocks-block
-// blob and returns a pinned snapshot plus the flat client. With
-// metered set the client carries a live metrics registry, so the
-// instrumented hot path is measured instead of the no-op one.
-func benchSnapshot(b *testing.B, nBlocks int, metered bool) (*core.Client, *core.Snapshot) {
+// benchSnapshot deploys a small cluster, publishes a blob of nBlocks
+// blocks of blockSize bytes and returns a pinned snapshot plus the
+// flat client. With metered set the client carries a live metrics
+// registry, so the instrumented hot path is measured instead of the
+// no-op one.
+func benchSnapshot(b *testing.B, nBlocks int, blockSize int64, metered bool) (*core.Client, *core.Snapshot) {
 	b.Helper()
 	cl, err := cluster.StartBlobSeer(cluster.Config{
 		DataProviders: 4,
 		MetaProviders: 2,
-		BlockSize:     B,
+		BlockSize:     blockSize,
 		MetaCacheSize: -1,
 	})
 	if err != nil {
@@ -32,11 +34,11 @@ func benchSnapshot(b *testing.B, nBlocks int, metered bool) (*core.Client, *core
 	} else {
 		c = cl.NewClient("")
 	}
-	bh, err := c.CreateBlob(ctx, B, 1)
+	bh, err := c.CreateBlob(ctx, blockSize, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := bh.Write(ctx, 0, pattern('b', nBlocks*B)); err != nil {
+	if _, err := bh.Write(ctx, 0, pattern('b', nBlocks*int(blockSize))); err != nil {
 		b.Fatal(err)
 	}
 	s, err := bh.Latest(ctx)
@@ -70,7 +72,7 @@ func BenchmarkSnapshotReadAtMetered(b *testing.B) {
 
 func benchmarkSnapshotReadAt(b *testing.B, metered bool) {
 	const nBlocks = 8
-	_, s := benchSnapshot(b, nBlocks, metered)
+	_, s := benchSnapshot(b, nBlocks, B, metered)
 	buf := make([]byte, s.Size())
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -87,7 +89,7 @@ func benchmarkSnapshotReadAt(b *testing.B, metered bool) {
 // re-resolves the version on every call.
 func BenchmarkFlatRead(b *testing.B) {
 	const nBlocks = 8
-	c, s := benchSnapshot(b, nBlocks, false)
+	c, s := benchSnapshot(b, nBlocks, B, false)
 	ctx := context.Background()
 	id, v, size := s.Blob().ID(), s.Version(), s.Size()
 	b.ReportAllocs()
@@ -98,4 +100,29 @@ func BenchmarkFlatRead(b *testing.B) {
 		}
 	}
 	b.SetBytes(size)
+}
+
+// BenchmarkReaderRandom64K measures the streaming reader on random
+// access: each iteration opens a reader with the default readahead
+// window over 1 MB blocks, seeks to a random offset, reads 64 KB and
+// closes. B/op tracks the bytes the reader moves per 64 KB returned.
+func BenchmarkReaderRandom64K(b *testing.B) {
+	const nBlocks, blockSize, readSize = 8, 1 << 20, 64 << 10
+	_, s := benchSnapshot(b, nBlocks, blockSize, false)
+	ctx := context.Background()
+	rng := rand.New(rand.NewPCG(1, 2))
+	buf := make([]byte, readSize)
+	b.SetBytes(readSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := s.NewReader(ctx, core.ReaderOptions{Readahead: 2})
+		if _, err := r.Seek(rng.Int64N(s.Size()-readSize+1), io.SeekStart); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.ReadFull(r, buf); err != nil {
+			b.Fatal(err)
+		}
+		r.Close()
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math/rand/v2"
 	"sync"
 	"testing"
 	"time"
@@ -383,4 +384,70 @@ func TestSnapshotLocationsPinned(t *testing.T) {
 			t.Errorf("loc %d = %+v", i, l)
 		}
 	}
+}
+
+// TestReadAmplificationMetrics pins the client's live read-amplification
+// gauges: random 64 KB reads fetch only what they return, and a
+// sequential scan through the readahead window fetches each byte once.
+func TestReadAmplificationMetrics(t *testing.T) {
+	const blockSize, nBlocks, readSize = 256 << 10, 16, 64 << 10
+	cl := startCluster(t, cluster.Config{DataProviders: 4, BlockSize: blockSize})
+	ctx := context.Background()
+	c, reg := cl.NewMeteredClient("", "amp")
+	b, err := c.CreateBlob(ctx, blockSize, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := pattern('a', nBlocks*blockSize)
+	if _, err := b.Write(ctx, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	s, err := b.Latest(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := func() (fetched, returned int64) {
+		g := reg.Snapshot().Gauges
+		return g["read_bytes_fetched"], g["read_bytes_returned"]
+	}
+	check := func(what string, f0, r0 int64, bound float64) {
+		t.Helper()
+		f1, r1 := counts()
+		if r1 == r0 {
+			t.Fatalf("%s: no bytes returned", what)
+		}
+		if amp := float64(f1-f0) / float64(r1-r0); amp > bound {
+			t.Errorf("%s: fetched/returned = %.3f (%d/%d), want <= %.2f", what, amp, f1-f0, r1-r0, bound)
+		}
+	}
+
+	rng := rand.New(rand.NewPCG(1, 2))
+	buf := make([]byte, readSize)
+	for i := 0; i < 200; i++ {
+		off := rng.Int64N(int64(len(data)) - readSize + 1)
+		r := s.NewReader(ctx, core.ReaderOptions{Readahead: 2})
+		if _, err := r.Seek(off, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(r, buf); err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+		if !bytes.Equal(buf, data[off:off+readSize]) {
+			t.Fatalf("random read at %d mismatch", off)
+		}
+	}
+	check("200 random 64 KB reads", 0, 0, 1.05)
+
+	f0, r0 := counts()
+	r := s.NewReader(ctx, core.ReaderOptions{Readahead: 2})
+	defer r.Close()
+	got, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("sequential scan mismatch")
+	}
+	check("sequential scan", f0, r0, 1.01)
 }

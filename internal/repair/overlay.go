@@ -52,6 +52,40 @@ type KV interface {
 // repair. It implements core.LocationOverlay.
 type Overlay struct {
 	kv KV
+	mu sync.Mutex
+	// adding holds one lock per block key with an Add in progress:
+	// Adds to the same entry run one at a time within the process,
+	// Adds to different entries run in parallel.
+	adding map[string]*keyLock
+}
+
+type keyLock struct {
+	mu    sync.Mutex
+	users int
+}
+
+// lockKey serializes Adds to k and returns the matching unlock.
+func (o *Overlay) lockKey(k string) func() {
+	o.mu.Lock()
+	if o.adding == nil {
+		o.adding = make(map[string]*keyLock)
+	}
+	l := o.adding[k]
+	if l == nil {
+		l = &keyLock{}
+		o.adding[k] = l
+	}
+	l.users++
+	o.mu.Unlock()
+	l.mu.Lock()
+	return func() {
+		l.mu.Unlock()
+		o.mu.Lock()
+		if l.users--; l.users == 0 {
+			delete(o.adding, k)
+		}
+		o.mu.Unlock()
+	}
 }
 
 // NewOverlay returns an overlay stored in kv.
@@ -84,12 +118,15 @@ func (o *Overlay) Get(ctx context.Context, key blob.BlockKey) ([]string, error) 
 // background repair daemon and an operator's bsfsctl decommission), so
 // the read-merge-write is verified: after writing, the entry is read
 // back and re-merged until it contains every address we meant to
-// record. Concurrent adders thus converge to the union instead of one
-// silently overwriting the other's relocations.
+// record. Adders sharing this Overlay are serialized per block, so
+// they always converge to the union; the read-back only narrows the
+// window in which an adder in another process can overwrite a
+// relocation it never saw.
 func (o *Overlay) Add(ctx context.Context, key blob.BlockKey, addrs []string) error {
 	if len(addrs) == 0 {
 		return nil
 	}
+	defer o.lockKey(overlayKey(key))()
 	const attempts = 4
 	for i := 0; i < attempts; i++ {
 		existing, err := o.Get(ctx, key)

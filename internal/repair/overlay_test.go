@@ -57,22 +57,30 @@ func TestOverlayAddGetRemove(t *testing.T) {
 func TestOverlayConcurrentAddsConverge(t *testing.T) {
 	ctx := context.Background()
 	o := NewOverlay(NewMemKV())
-	k := blob.BlockKey{Blob: 9, Nonce: 9, Seq: 9}
+	// Two entries, eight adders each: Adds serialize per entry only.
+	keys := []blob.BlockKey{{Blob: 9, Nonce: 9, Seq: 9}, {Blob: 9, Nonce: 9, Seq: 10}}
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		addr := fmt.Sprintf("p%d", i)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := o.Add(ctx, k, []string{addr}); err != nil {
-				t.Error(err)
-			}
-		}()
+	for _, k := range keys {
+		for i := 0; i < 8; i++ {
+			addr := fmt.Sprintf("p%d", i)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := o.Add(ctx, k, []string{addr}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
 	}
 	wg.Wait()
-	got, err := o.Get(ctx, k)
-	if err != nil || len(got) != 8 {
-		t.Fatalf("after 8 concurrent Adds: %v, %v; want all 8 addresses", got, err)
+	for _, k := range keys {
+		got, err := o.Get(ctx, k)
+		if err != nil || len(got) != 8 {
+			t.Fatalf("%v after 8 concurrent Adds: %v, %v; want all 8 addresses", k, got, err)
+		}
+	}
+	if len(o.adding) != 0 {
+		t.Fatalf("%d per-key locks outlived their Adds", len(o.adding))
 	}
 }
 

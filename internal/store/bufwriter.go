@@ -16,6 +16,10 @@ type bufWriter struct {
 	done   bool
 	commit func(buf []byte) error
 	abort  func()
+	// alloc and free, when set, supply and take back the assembly
+	// buffer (MemStore's arena); otherwise it lives on the Go heap.
+	alloc func(n int) []byte
+	free  func(b []byte)
 }
 
 func newBufWriter(commit func(buf []byte) error) *bufWriter {
@@ -32,6 +36,7 @@ func (w *bufWriter) WriteAt(p []byte, off int64) error {
 		return errors.New("store: negative write offset")
 	}
 	if end := int(off) + len(p); end > len(w.buf) {
+		n := len(w.buf)
 		if end > cap(w.buf) {
 			// Grow geometrically: frames mostly arrive in ascending
 			// order, so linear growth would copy the buffer once per
@@ -40,11 +45,22 @@ func (w *bufWriter) WriteAt(p []byte, off int64) error {
 			if newCap < end {
 				newCap = end
 			}
-			grown := make([]byte, end, newCap)
+			var grown []byte
+			if w.alloc != nil {
+				grown = w.alloc(newCap)[:end]
+			} else {
+				grown = make([]byte, end, newCap)
+			}
 			copy(grown, w.buf)
+			w.release()
 			w.buf = grown
 		} else {
 			w.buf = w.buf[:end]
+		}
+		// An arena buffer is not zeroed: clear the hole an
+		// out-of-order frame leaves before it.
+		if int(off) > n {
+			clear(w.buf[n:off])
 		}
 	}
 	copy(w.buf[off:], p)
@@ -67,9 +83,17 @@ func (w *bufWriter) Abort() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.done = true
+	w.release()
 	w.buf = nil
 	if w.abort != nil {
 		w.abort()
 	}
 	return nil
+}
+
+// release hands the assembly buffer back to free, if any.
+func (w *bufWriter) release() {
+	if w.free != nil && w.buf != nil {
+		w.free(w.buf)
+	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"hash/fnv"
+	"runtime"
 	"strings"
 	"sync"
 )
@@ -9,9 +10,13 @@ import (
 const memShards = 16
 
 // MemStore is a sharded in-memory Store. Values are copied on Put and
-// Get so callers can reuse buffers freely.
+// Get so callers can reuse buffers freely. Past a budget, large values
+// (blocks) live off the Go heap (see arena), so a provider holding
+// gigabytes resides in about that much memory, not twice it. Values
+// are read only under their shard lock and freed once out of the map.
 type MemStore struct {
 	shards [memShards]memShard
+	arena  *arena
 }
 
 type memShard struct {
@@ -21,10 +26,13 @@ type memShard struct {
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	s := &MemStore{}
+	s := &MemStore{arena: newArena()}
 	for i := range s.shards {
 		s.shards[i].m = make(map[string][]byte)
 	}
+	// Mapped memory is not the garbage collector's: unmap it once the
+	// store is unreachable, closed or not.
+	runtime.AddCleanup(s, func(a *arena) { a.close() }, s.arena)
 	return s
 }
 
@@ -36,44 +44,47 @@ func (s *MemStore) shard(key string) *memShard {
 
 // Put implements Store.
 func (s *MemStore) Put(key string, val []byte) error {
-	cp := append([]byte(nil), val...)
-	sh := s.shard(key)
-	sh.mu.Lock()
-	sh.m[key] = cp
-	sh.mu.Unlock()
+	cp := s.arena.alloc(len(val))
+	copy(cp, val)
+	s.install(key, cp)
 	return nil
 }
 
-// PutWriter implements Store. Frames accumulate in a private buffer
-// whose ownership transfers to the store on Commit (no copy).
+// PutWriter implements Store. Frames accumulate in a private arena
+// buffer whose ownership transfers to the store on Commit (no copy).
 func (s *MemStore) PutWriter(key string) (BlockWriter, error) {
-	return newBufWriter(func(buf []byte) error {
-		sh := s.shard(key)
-		sh.mu.Lock()
-		sh.m[key] = buf
-		sh.mu.Unlock()
+	w := newBufWriter(func(buf []byte) error {
+		s.install(key, buf)
 		return nil
-	}), nil
+	})
+	w.alloc, w.free = s.arena.alloc, s.arena.release
+	return w, nil
+}
+
+// install maps key to v and frees the value it replaces.
+func (s *MemStore) install(key string, v []byte) {
+	sh := s.shard(key)
+	sh.mu.Lock()
+	old, had := sh.m[key]
+	sh.m[key] = v
+	sh.mu.Unlock()
+	if had {
+		s.arena.release(old)
+	}
 }
 
 // Get implements Store.
 func (s *MemStore) Get(key string) ([]byte, error) {
-	sh := s.shard(key)
-	sh.mu.RLock()
-	v, ok := sh.m[key]
-	sh.mu.RUnlock()
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return append([]byte(nil), v...), nil
+	return s.GetRange(key, 0, -1)
 }
 
-// GetRange implements Store.
+// GetRange implements Store. The copy is made under the shard lock: a
+// concurrent Delete may free the value the moment the lock drops.
 func (s *MemStore) GetRange(key string, off, length int64) ([]byte, error) {
 	sh := s.shard(key)
 	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	v, ok := sh.m[key]
-	sh.mu.RUnlock()
 	if !ok {
 		return nil, ErrNotFound
 	}
@@ -94,8 +105,12 @@ func (s *MemStore) Has(key string) bool {
 func (s *MemStore) Delete(key string) error {
 	sh := s.shard(key)
 	sh.mu.Lock()
+	old, had := sh.m[key]
 	delete(sh.m, key)
 	sh.mu.Unlock()
+	if had {
+		s.arena.release(old)
+	}
 	return nil
 }
 
@@ -104,14 +119,19 @@ func (s *MemStore) DeletePrefix(prefix string) (int, error) {
 	n := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
+		var gone [][]byte
 		sh.mu.Lock()
-		for k := range sh.m {
+		for k, v := range sh.m {
 			if strings.HasPrefix(k, prefix) {
 				delete(sh.m, k)
-				n++
+				gone = append(gone, v)
 			}
 		}
 		sh.mu.Unlock()
+		for _, v := range gone {
+			s.arena.release(v)
+		}
+		n += len(gone)
 	}
 	return n, nil
 }
@@ -147,5 +167,6 @@ func (s *MemStore) Stats() Stats {
 	return st
 }
 
-// Close implements Store.
+// Close implements Store. The arena's mappings go when the store
+// becomes unreachable.
 func (s *MemStore) Close() error { return nil }

@@ -12,6 +12,8 @@ type Collector struct {
 	prefetched   atomic.Int64
 	prefetchHits atomic.Int64
 	canceled     atomic.Int64
+	fetched      atomic.Int64
+	returned     atomic.Int64
 	readersOpen  atomic.Int64
 	writersOpen  atomic.Int64
 	wbDepth      atomic.Int64
@@ -61,6 +63,18 @@ func (c *Collector) prefetchDrop() {
 	}
 }
 
+func (c *Collector) bytesFetched(n int) {
+	if c != nil {
+		c.fetched.Add(int64(n))
+	}
+}
+
+func (c *Collector) bytesReturned(n int) {
+	if c != nil {
+		c.returned.Add(int64(n))
+	}
+}
+
 func (c *Collector) commitQueued() {
 	if c != nil {
 		c.wbDepth.Add(1)
@@ -97,6 +111,24 @@ func (c *Collector) Canceled() int64 {
 		return 0
 	}
 	return c.canceled.Load()
+}
+
+// BytesFetched returns snapshot bytes readers fetched, whole blocks,
+// prefetches and ranged reads alike. Over BytesReturned it is the read
+// amplification.
+func (c *Collector) BytesFetched() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.fetched.Load()
+}
+
+// BytesReturned returns bytes readers handed to their callers.
+func (c *Collector) BytesReturned() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.returned.Load()
 }
 
 // ReadersOpen returns currently open readers.

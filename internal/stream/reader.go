@@ -8,27 +8,27 @@ import (
 	"sync"
 )
 
-// Fetch reads [off, off+length) of a pinned immutable snapshot and
-// returns the bytes. Implementations must be safe for concurrent calls:
-// the readahead window fetches several ranges at once.
-type Fetch func(ctx context.Context, off, length int64) ([]byte, error)
-
 // ReaderConfig wires a Reader to its snapshot.
 type ReaderConfig struct {
-	// Fetch supplies snapshot bytes (required).
-	Fetch Fetch
+	// ReadAt fills all of p with the snapshot bytes starting at off, or
+	// fails (required). The reader never asks past Size. Whole-block
+	// loads pass a buffer the reader allocates; ranged reads pass the
+	// caller's own slice. Implementations must be safe for concurrent
+	// calls: the readahead window fetches several blocks at once.
+	ReadAt func(ctx context.Context, p []byte, off int64) error
 	// Size is the pinned snapshot size; the stream EOFs there.
 	Size int64
-	// BlockSize is the caching and prefetch granularity.
+	// BlockSize is the granularity of sequential streams: they load
+	// whole blocks and count the readahead window in blocks.
 	BlockSize int64
 	// Readahead is the asynchronous prefetch window: up to this many
 	// blocks are fetched by background goroutines ahead of a sequential
 	// stream. <= 0 keeps reads fully synchronous — one block fetched at
 	// a time, on demand.
 	Readahead int
-	// NoCache disables block-granularity caching and prefetch entirely:
-	// every Read fetches exactly the range it still needs (ablation
-	// benches; the simulator models per-request costs).
+	// NoCache treats every Read as non-sequential: each fetches exactly
+	// the range it asks for, with no block cache and no prefetch
+	// (ablation benches; the simulator models per-request costs).
 	NoCache bool
 	// Collector, when non-nil, aggregates this reader's pipeline
 	// activity into shared client-wide metrics.
@@ -48,17 +48,22 @@ type PipelinedReader interface {
 	ReadStats() ReadStats
 }
 
-// Reader is a sequential io.ReadSeekCloser over a pinned snapshot with
-// whole-block prefetching: when the requested data is not cached, the
-// full enclosing block is fetched (Section IV-B), so a Hadoop-style
-// sequence of 4 KB reads costs one block transfer. With Readahead > 0
-// the reader also detects sequential access and keeps a bounded window
-// of blocks in flight ahead of the stream position, fetched by
-// background goroutines, so consuming block i overlaps the transfer of
-// blocks i+1..i+N.
+// Reader is an io.ReadSeekCloser over a pinned snapshot that sizes
+// each fetch to the access pattern. A Read is sequential when it
+// starts at offset 0 or exactly where the previous Read ended.
+// Sequential reads load whole enclosing blocks (Section IV-B), so a
+// Hadoop-style run of 4 KB reads costs one block transfer; with
+// Readahead > 0 they also keep a bounded window of the following
+// blocks in flight, fetched by background goroutines, so consuming
+// block i overlaps the transfer of blocks i+1..i+N. Any other Read
+// that neither the cached block nor the window can serve fetches
+// exactly the range it asks for, in one call, straight into the
+// caller's buffer: a 64 KB random read moves 64 KB, not a block. The
+// first Read that continues a ranged one is sequential, so a stream
+// that seeks once and then reads on starts its window there.
 type Reader struct {
 	ctx       context.Context
-	fetch     Fetch
+	readAt    func(ctx context.Context, p []byte, off int64) error
 	size      int64
 	blockSize int64
 	readahead int
@@ -66,14 +71,14 @@ type Reader struct {
 
 	mu       sync.Mutex
 	pos      int64
+	lastEnd  int64 // stream offset where the previous Read ended (-1 = none)
 	cacheOff int64 // file offset of cached block (-1 = empty)
 	cache    []byte
 	closed   bool
 
-	nextSeq int64                // block start that would continue the sequential run (-1 = none)
-	window  map[int64]*blockLoad // block start -> in-flight or completed background fetch
-	stats   ReadStats
-	coll    *Collector
+	window map[int64]*blockLoad // block start -> in-flight or completed background fetch
+	stats  ReadStats
+	coll   *Collector
 }
 
 var (
@@ -100,21 +105,21 @@ func NewReader(ctx context.Context, cfg ReaderConfig) *Reader {
 	cfg.Collector.readerOpened()
 	return &Reader{
 		ctx:       ctx,
-		fetch:     cfg.Fetch,
+		readAt:    cfg.ReadAt,
 		size:      cfg.Size,
 		blockSize: cfg.BlockSize,
 		readahead: readahead,
 		noCache:   cfg.NoCache,
+		lastEnd:   -1,
 		cacheOff:  -1,
-		nextSeq:   -1,
 		window:    make(map[int64]*blockLoad),
 		coll:      cfg.Collector,
 	}
 }
 
 // errSeekRaced reports that a concurrent Seek moved the stream while a
-// pipelined fetch was waited on (the lock is released during the
-// wait); the read loop resumes from the new position.
+// pipelined or ranged fetch was waited on (the lock is released during
+// the wait); the read loop resumes from the new position.
 var errSeekRaced = errors.New("stream: seek raced a block fetch")
 
 // Read implements io.Reader.
@@ -127,9 +132,43 @@ func (r *Reader) Read(p []byte) (int, error) {
 	if r.pos >= r.size {
 		return 0, io.EOF
 	}
+	n, err := r.lockedRead(p)
+	if n > 0 {
+		r.coll.bytesReturned(n)
+	}
+	return n, err
+}
+
+// lockedSequential reports whether a Read starting at the current
+// position continues the stream.
+func (r *Reader) lockedSequential() bool {
+	return !r.noCache && (r.pos == 0 || r.pos == r.lastEnd)
+}
+
+// lockedRead fills p from the cached block, the readahead window,
+// whole-block loads (sequential reads) or one ranged fetch (all other
+// reads). lastEnd follows every advance as it happens: a Seek that
+// races a fetch moves pos, never where the returned bytes ended.
+func (r *Reader) lockedRead(p []byte) (int, error) {
+	seq := r.lockedSequential()
 	n := 0
 	for n < len(p) && r.pos < r.size {
-		data, err := r.lockedFetch(r.pos)
+		dst := p[n : int64(n)+min(int64(len(p)-n), r.size-r.pos)]
+		if r.pos >= r.cacheOff && r.pos-r.cacheOff < int64(len(r.cache)) {
+			c := copy(dst, r.cache[r.pos-r.cacheOff:])
+			n += c
+			r.pos += int64(c)
+			r.lastEnd = r.pos
+			continue
+		}
+		blockStart := r.pos / r.blockSize * r.blockSize
+		var err error
+		if seq || r.window[blockStart] != nil {
+			err = r.lockedLoad(r.pos, blockStart, seq)
+		} else if err = r.lockedReadRange(dst); err == nil {
+			n += len(dst)
+			r.lastEnd = r.pos
+		}
 		if errors.Is(err, errSeekRaced) {
 			// A concurrent Seek moved the stream. Bytes already copied
 			// stay a single contiguous range (return them); otherwise
@@ -137,6 +176,7 @@ func (r *Reader) Read(p []byte) (int, error) {
 			if n > 0 {
 				return n, nil
 			}
+			seq = r.lockedSequential()
 			continue
 		}
 		if err != nil {
@@ -145,13 +185,6 @@ func (r *Reader) Read(p []byte) (int, error) {
 			}
 			return 0, err
 		}
-		want := min(int64(len(p)-n), r.size-r.pos)
-		c := copy(p[n:int64(n)+want], data)
-		n += c
-		r.pos += int64(c)
-		if c == 0 {
-			break
-		}
 	}
 	if n == 0 && r.pos >= r.size {
 		return 0, io.EOF // a racing Seek pushed the stream to EOF
@@ -159,47 +192,51 @@ func (r *Reader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// lockedFetch returns cached bytes at file offset off, loading the
-// enclosing block if needed.
-func (r *Reader) lockedFetch(off int64) ([]byte, error) {
-	blockStart := off / r.blockSize * r.blockSize
-	if r.cache == nil || r.cacheOff != blockStart || off-blockStart >= int64(len(r.cache)) {
-		length := r.blockSize
-		if blockStart+length > r.size {
-			length = r.size - blockStart
-		}
-		if r.noCache {
-			// Ablation mode: fetch only what was asked (here: to block
-			// end, since callers of lockedFetch consume incrementally;
-			// the distinction matters for the simulator, which models
-			// per-request costs).
-			return r.fetch(r.ctx, off, blockStart+length-off)
-		}
-		if r.readahead > 0 {
-			if err := r.lockedLoadPipelined(off, blockStart, length); err != nil {
-				return nil, err
-			}
-		} else {
-			data, err := r.fetch(r.ctx, blockStart, length)
-			if err != nil {
-				return nil, err
-			}
-			r.cache = data
-			r.cacheOff = blockStart
-		}
+// lockedReadRange is the ranged path: it fills dst from the stream
+// position with one fetch straight into the caller's buffer, waiting
+// with the lock released so Seek/Close stay responsive.
+func (r *Reader) lockedReadRange(dst []byte) error {
+	off := r.pos
+	r.mu.Unlock()
+	err := r.fetchInto(r.ctx, dst, off)
+	r.mu.Lock()
+	switch {
+	case r.closed:
+		return ErrReaderClosed
+	case r.pos != off:
+		return errSeekRaced
+	case err != nil:
+		return err
 	}
-	return r.cache[off-r.cacheOff:], nil
+	r.pos += int64(len(dst))
+	return nil
+}
+
+// lockedLoad installs the block at blockStart into the cache, through
+// the readahead window when there is one.
+func (r *Reader) lockedLoad(off, blockStart int64, seq bool) error {
+	length := min(r.blockSize, r.size-blockStart)
+	if r.readahead > 0 {
+		return r.lockedLoadPipelined(off, blockStart, length, seq)
+	}
+	data, err := r.fetchBlock(r.ctx, blockStart, length)
+	if err != nil {
+		return err
+	}
+	r.cache = data
+	r.cacheOff = blockStart
+	return nil
 }
 
 // lockedLoadPipelined installs the block at blockStart into the cache
 // through the readahead window: it consumes a background fetch if one
-// is in flight (or starts one), launches the next window of prefetches
-// when the access pattern is sequential, and waits with the lock
-// released so Seek/Close stay responsive. off is the stream position
-// the caller is serving; if a concurrent Seek moves r.pos off it while
-// the lock is down, errSeekRaced tells the read loop to resume from
-// the new position instead of mis-pairing old bytes with the new one.
-func (r *Reader) lockedLoadPipelined(off, blockStart, length int64) error {
+// is in flight (or starts one), tops the window up when the read is
+// sequential, and waits with the lock released so Seek/Close stay
+// responsive. off is the stream position the caller is serving; if a
+// concurrent Seek moves r.pos off it while the lock is down,
+// errSeekRaced tells the read loop to resume from the new position
+// instead of mis-pairing old bytes with the new one.
+func (r *Reader) lockedLoadPipelined(off, blockStart, length int64, seq bool) error {
 	f, hit := r.window[blockStart]
 	if !hit {
 		f = r.startFetch(blockStart, length)
@@ -209,21 +246,18 @@ func (r *Reader) lockedLoadPipelined(off, blockStart, length int64) error {
 		r.coll.prefetchHit()
 	}
 
-	// Sequential-access detection: the run continues (or starts at the
-	// beginning of the file). Top the window back up before blocking on
-	// the current block so the pipeline never drains.
-	if blockStart == 0 || blockStart == r.nextSeq {
+	// Top the window back up before blocking on the current block so
+	// the pipeline never drains.
+	if seq {
 		for next := blockStart + r.blockSize; next < r.size && next <= blockStart+int64(r.readahead)*r.blockSize; next += r.blockSize {
 			if _, ok := r.window[next]; ok {
 				continue
 			}
-			ln := min(r.blockSize, r.size-next)
-			r.window[next] = r.startFetch(next, ln)
+			r.window[next] = r.startFetch(next, min(r.blockSize, r.size-next))
 			r.stats.Prefetched++
 			r.coll.prefetchStart()
 		}
 	}
-	r.nextSeq = blockStart + r.blockSize
 
 	// Blocks behind the stream position are dead weight: cancel them.
 	r.lockedPruneBehind(blockStart)
@@ -267,10 +301,29 @@ func (r *Reader) startFetch(blockStart, length int64) *blockLoad {
 	f := &blockLoad{done: make(chan struct{}), cancel: cancel}
 	go func() {
 		defer close(f.done)
-		f.data, f.err = r.fetch(fctx, blockStart, length)
+		f.data, f.err = r.fetchBlock(fctx, blockStart, length)
 		cancel()
 	}()
 	return f
+}
+
+// fetchBlock reads [start, start+length) into a buffer of its own.
+func (r *Reader) fetchBlock(ctx context.Context, start, length int64) ([]byte, error) {
+	buf := make([]byte, length)
+	if err := r.fetchInto(ctx, buf, start); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// fetchInto fills p from the snapshot at off; every fetch, ranged or
+// whole-block, goes through here.
+func (r *Reader) fetchInto(ctx context.Context, p []byte, off int64) error {
+	if err := r.readAt(ctx, p, off); err != nil {
+		return err
+	}
+	r.coll.bytesFetched(len(p))
+	return nil
 }
 
 // lockedCancelWindow aborts every outstanding background fetch.
@@ -281,7 +334,6 @@ func (r *Reader) lockedCancelWindow() {
 		r.stats.Canceled++
 		r.coll.prefetchDrop()
 	}
-	r.nextSeq = -1
 }
 
 // lockedPruneBehind aborts window fetches strictly behind blockStart,
@@ -325,13 +377,9 @@ func (r *Reader) Seek(offset int64, whence int) (int64, error) {
 	}
 	if abs != r.pos {
 		newBlock := abs / r.blockSize * r.blockSize
-		switch {
-		case r.cache != nil && r.cacheOff == newBlock:
+		if (r.cache != nil && r.cacheOff == newBlock) || r.window[newBlock] != nil {
 			r.lockedPruneBehind(newBlock)
-		case r.window[newBlock] != nil:
-			r.lockedPruneBehind(newBlock)
-			r.nextSeq = newBlock // the run continues on the prefetched block
-		default:
+		} else {
 			r.lockedCancelWindow()
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,36 +24,70 @@ func pattern(tag byte, n int) []byte {
 	return d
 }
 
-// memSource is an in-memory snapshot with per-fetch accounting and an
-// optional per-fetch failure hook.
+// fetchOp is one successful memSource fetch.
+type fetchOp struct{ off, n int64 }
+
+// memSource is an in-memory snapshot that logs every successful fetch
+// (so tests can count calls and bytes) with an optional per-fetch
+// failure hook.
 type memSource struct {
-	data    []byte
-	fetches atomic.Int64
-	fail    atomic.Bool
+	data []byte
+	fail atomic.Bool
+	// hold, if set, runs inside every fetch before it copies (the
+	// reader's lock is down then); tests use it to pause a fetch.
+	hold func(off int64, n int)
+
+	mu  sync.Mutex
+	ops []fetchOp
 }
 
-func (m *memSource) fetch(ctx context.Context, off, length int64) ([]byte, error) {
+func (m *memSource) readAt(ctx context.Context, p []byte, off int64) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.fail.Load() {
-		return nil, errors.New("memSource: injected fetch failure")
+		return errors.New("memSource: injected fetch failure")
 	}
-	m.fetches.Add(1)
-	end := off + length
-	if end > int64(len(m.data)) {
-		return nil, fmt.Errorf("memSource: fetch [%d,+%d) past size %d", off, length, len(m.data))
+	if off+int64(len(p)) > int64(len(m.data)) {
+		return fmt.Errorf("memSource: fetch [%d,+%d) past size %d", off, len(p), len(m.data))
 	}
-	return append([]byte(nil), m.data[off:end]...), nil
+	if m.hold != nil {
+		m.hold(off, len(p))
+	}
+	copy(p, m.data[off:])
+	m.mu.Lock()
+	m.ops = append(m.ops, fetchOp{off, int64(len(p))})
+	m.mu.Unlock()
+	return nil
 }
 
-func (m *memSource) reader(readahead int) *stream.Reader {
-	return stream.NewReader(context.Background(), stream.ReaderConfig{
-		Fetch:     m.fetch,
+// fetches returns the fetches made so far, in completion order.
+func (m *memSource) fetches() []fetchOp {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]fetchOp(nil), m.ops...)
+}
+
+// fetchedBytes sums the lengths of every fetch made so far.
+func (m *memSource) fetchedBytes() int64 {
+	var total int64
+	for _, op := range m.fetches() {
+		total += op.n
+	}
+	return total
+}
+
+func (m *memSource) config(readahead int) stream.ReaderConfig {
+	return stream.ReaderConfig{
+		ReadAt:    m.readAt,
 		Size:      int64(len(m.data)),
 		BlockSize: B,
 		Readahead: readahead,
-	})
+	}
+}
+
+func (m *memSource) reader(readahead int) *stream.Reader {
+	return stream.NewReader(context.Background(), m.config(readahead))
 }
 
 // memSink is an in-memory blob accepting offset writes and appends.
@@ -166,26 +201,197 @@ func TestReaderSeekCancelsWindow(t *testing.T) {
 }
 
 // TestReaderNoCacheFetchesExactRanges: ablation mode bypasses the block
-// cache entirely — every Read fetches at request granularity.
+// cache entirely — every Read, sequential or not, makes one fetch of
+// exactly the range it asks for.
 func TestReaderNoCacheFetchesExactRanges(t *testing.T) {
-	src := &memSource{data: pattern('n', 2*B)}
-	r := stream.NewReader(context.Background(), stream.ReaderConfig{
-		Fetch:     src.fetch,
-		Size:      int64(len(src.data)),
-		BlockSize: B,
-		Readahead: 4, // NoCache wins: forced synchronous
-		NoCache:   true,
-	})
+	src := &memSource{data: pattern('n', 2*B+321)}
+	cfg := src.config(4) // NoCache wins: forced synchronous
+	cfg.NoCache = true
+	r := stream.NewReader(context.Background(), cfg)
 	defer r.Close()
-	got, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
+	var got []byte
+	var want []fetchOp
+	for _, n := range []int{1000, 777, B, 1, 3000, B} {
+		off := int64(len(got))
+		if off >= int64(len(src.data)) {
+			break
+		}
+		buf := make([]byte, n)
+		c, err := r.Read(buf)
+		if err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+		want = append(want, fetchOp{off, int64(min(n, len(src.data)-int(off)))})
+		got = append(got, buf[:c]...)
 	}
-	if !bytes.Equal(got, src.data) {
+	if !bytes.Equal(got, src.data[:len(got)]) {
 		t.Fatal("nocache round trip mismatch")
+	}
+	if ops := src.fetches(); !slices.Equal(ops, want) {
+		t.Errorf("NoCache fetches = %v, want one per Read of its request length %v", ops, want)
 	}
 	if st := r.ReadStats(); st.Prefetched != 0 {
 		t.Errorf("NoCache reader prefetched %d blocks, want 0", st.Prefetched)
+	}
+}
+
+// TestReaderMidFileReadIsOneRangedFetch: a 64 KB read in the middle of
+// the file moves 64 KB in one fetch, with no prefetch.
+func TestReaderMidFileReadIsOneRangedFetch(t *testing.T) {
+	src := &memSource{data: pattern('m', 32*B)}
+	r := src.reader(2)
+	defer r.Close()
+	const off, n = 3*B + 100, 64 << 10
+	if _, err := r.Seek(off, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, src.data[off:off+n]) {
+		t.Fatal("ranged read mismatch")
+	}
+	if ops := src.fetches(); !slices.Equal(ops, []fetchOp{{off, n}}) {
+		t.Errorf("fetches = %v, want one of [%d,+%d)", ops, off, n)
+	}
+	if st := r.ReadStats(); st.Prefetched != 0 {
+		t.Errorf("ranged read prefetched %d blocks, want 0", st.Prefetched)
+	}
+}
+
+// TestReaderStraddlingReadIsOneFetch: a non-sequential read across a
+// block boundary is still a single fetch.
+func TestReaderStraddlingReadIsOneFetch(t *testing.T) {
+	src := &memSource{data: pattern('b', 4*B)}
+	r := src.reader(2)
+	defer r.Close()
+	const off, n = 2*B - 100, 300
+	if _, err := r.Seek(off, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, src.data[off:off+n]) {
+		t.Fatal("straddling read mismatch")
+	}
+	if ops := src.fetches(); !slices.Equal(ops, []fetchOp{{off, n}}) {
+		t.Errorf("fetches = %v, want one of [%d,+%d)", ops, off, n)
+	}
+}
+
+// TestReaderOffsetZeroStartsWindow: a read at offset 0 is sequential —
+// it loads block 0 whole and opens the readahead window behind it.
+func TestReaderOffsetZeroStartsWindow(t *testing.T) {
+	src := &memSource{data: pattern('z', 8*B)}
+	r := src.reader(2)
+	defer r.Close()
+	buf := make([]byte, 100)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, src.data[:100]) {
+		t.Fatal("read at 0 mismatch")
+	}
+	if st := r.ReadStats(); st.Prefetched != 2 {
+		t.Errorf("read at 0 prefetched %d blocks, want the full window of 2", st.Prefetched)
+	}
+	if ops := src.fetches(); !slices.Contains(ops, fetchOp{0, B}) {
+		t.Errorf("fetches = %v, want block 0 loaded whole", ops)
+	}
+}
+
+// TestReaderSplitReadGoesSequential: Hadoop's Map-input pattern — a
+// seek into the middle of the file, then 4 KB reads onward. The first
+// read is ranged; the continuation is sequential, so the rest of the
+// split streams through whole-block loads and the readahead window.
+func TestReaderSplitReadGoesSequential(t *testing.T) {
+	src := &memSource{data: pattern('h', 8*B)}
+	r := src.reader(2)
+	defer r.Close()
+	const off = 2*B + 100
+	if _, err := r.Seek(off, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	buf := make([]byte, 4096)
+	for {
+		n, err := r.Read(buf)
+		got = append(got, buf[:n]...)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(got, src.data[off:]) {
+		t.Fatal("split read mismatch")
+	}
+	ops := src.fetches()
+	if len(ops) < 2 || ops[0] != (fetchOp{off, 4096}) {
+		t.Fatalf("fetches = %v, want one ranged 4 KB fetch at %d first", ops, off)
+	}
+	for _, op := range ops[1:] {
+		if op.off%B != 0 || op.n != B {
+			t.Errorf("fetch %v after the first read is not a whole-block load", op)
+		}
+	}
+	if st := r.ReadStats(); st.PrefetchHits == 0 {
+		t.Errorf("split continuation should use the readahead window, stats = %+v", st)
+	}
+}
+
+// TestReaderCachedReReadFetchesNothing: a non-sequential read that
+// lands inside the cached block is served from memory.
+func TestReaderCachedReReadFetchesNothing(t *testing.T) {
+	src := &memSource{data: pattern('k', 4*B)}
+	r := src.reader(0)
+	defer r.Close()
+	buf := make([]byte, 100)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		t.Fatal(err)
+	}
+	before := len(src.fetches())
+	if _, err := r.Seek(50, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(r, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, src.data[50:150]) {
+		t.Fatal("cached re-read mismatch")
+	}
+	if after := len(src.fetches()); after != before {
+		t.Errorf("re-read inside the cached block made %d fetches, want 0", after-before)
+	}
+}
+
+// TestReaderCollectorCountsAmplification: the collector's fetched and
+// returned byte counts give the read amplification of both paths.
+func TestReaderCollectorCountsAmplification(t *testing.T) {
+	src := &memSource{data: pattern('a', 8*B)}
+	coll := &stream.Collector{}
+	cfg := src.config(0)
+	cfg.Collector = coll
+	r := stream.NewReader(context.Background(), cfg)
+	defer r.Close()
+	if _, err := r.Seek(3*B+10, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(r, make([]byte, 500)); err != nil {
+		t.Fatal(err)
+	}
+	if f, ret := coll.BytesFetched(), coll.BytesReturned(); f != 500 || ret != 500 {
+		t.Errorf("ranged read: fetched %d, returned %d, want 500/500", f, ret)
+	}
+	if _, err := io.ReadFull(r, make([]byte, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if f, ret := coll.BytesFetched(), coll.BytesReturned(); f != 500+B || ret != 510 || f != src.fetchedBytes() {
+		t.Errorf("after continuation: fetched %d (source saw %d), returned %d, want %d/510", f, src.fetchedBytes(), ret, 500+B)
 	}
 }
 
@@ -379,6 +585,66 @@ func TestWriterErrorLatchedAndCloseContract(t *testing.T) {
 
 // TestReaderConcurrentSeekReadRace exercises Seek racing Read under
 // the race detector at the engine level (no cluster underneath).
+// A Seek that lands while a Read waits on a fetch must not make the
+// next Read at the Seek target look sequential: the raced Read returns
+// only the bytes before the fetch, and the stream ended there.
+func TestReaderSeekRacingRangedFetchKeepsRandomAccess(t *testing.T) {
+	src := &memSource{data: pattern('q', 8*B)}
+	waiting := make(chan struct{})
+	resume := make(chan struct{})
+	src.hold = func(off int64, n int) {
+		if off == B {
+			close(waiting)
+			<-resume
+		}
+	}
+	r := src.reader(0)
+	defer r.Close()
+
+	buf := make([]byte, 100)
+	if _, err := io.ReadFull(r, buf); err != nil { // caches block 0
+		t.Fatal(err)
+	}
+	if _, err := r.Seek(B-24, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		n   int
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		// 24 bytes come from the cached block; the other 76 are a
+		// ranged fetch at B, held until the Seek below has landed.
+		n, err := r.Read(buf)
+		got <- result{n, err}
+	}()
+	<-waiting
+	target := int64(5*B + 7)
+	if _, err := r.Seek(target, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	close(resume)
+	if res := <-got; res.err != nil || res.n != 24 {
+		t.Fatalf("raced Read = %d, %v; want the 24 cached bytes", res.n, res.err)
+	}
+	if !bytes.Equal(buf[:24], src.data[B-24:B]) {
+		t.Fatal("raced Read returned wrong bytes")
+	}
+
+	before := len(src.fetches())
+	if _, err := io.ReadFull(r, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, src.data[target:target+100]) {
+		t.Fatal("read at the Seek target returned wrong bytes")
+	}
+	ops := src.fetches()[before:]
+	if want := []fetchOp{{target, 100}}; !slices.Equal(ops, want) {
+		t.Fatalf("fetches for the read at the Seek target = %v, want one ranged fetch %v", ops, want)
+	}
+}
+
 func TestReaderConcurrentSeekReadRace(t *testing.T) {
 	src := &memSource{data: pattern('R', 8*B)}
 	r := src.reader(3)
